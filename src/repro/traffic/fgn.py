@@ -19,6 +19,7 @@ are provided:
 from __future__ import annotations
 
 import numpy as np
+import scipy.fft
 
 from repro.errors import GenerationError, ParameterError
 from repro.utils.rng import normalize_rng
@@ -49,6 +50,30 @@ def fgn_autocovariance(hurst: float, n_lags: int, *, sigma: float = 1.0) -> np.n
     return gamma
 
 
+def _circulant_scale(n: int, hurst: float, sigma: float) -> np.ndarray:
+    """``sqrt(eigenvalues / m)`` of the order-``m = 2n - 2`` circulant
+    embedding of fGn's autocovariance.
+
+    A function of its own so that the autocovariance, the embedded row and
+    its complex spectrum are freed before the weights are drawn: at
+    ``n = 2**19`` they hold 20 MB.
+    """
+    gamma = fgn_autocovariance(hurst, n, sigma=sigma)
+    # Circulant first row [g0 .. g_{n-1}, g_{n-2} .. g1]: the mirror shares
+    # its ends with the head, so the order is 2n - 2, not 2n.
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    eigenvalues = scipy.fft.rfft(row).real
+    min_eig = eigenvalues.min()
+    if min_eig < 0:
+        if min_eig < -1e-8 * eigenvalues.max():
+            raise GenerationError(
+                f"circulant embedding not positive semi-definite "
+                f"(min eigenvalue {min_eig:.3e}); hurst={hurst}"
+            )
+        eigenvalues = np.clip(eigenvalues, 0.0, None)
+    return np.sqrt(eigenvalues / row.size)
+
+
 def fgn_davies_harte(
     n: int,
     hurst: float,
@@ -59,9 +84,20 @@ def fgn_davies_harte(
     """Generate exact fGn via circulant embedding (Davies–Harte method).
 
     The autocovariance sequence of length ``n`` is embedded in a circulant
-    matrix of order ``2n``; its eigenvalues (the FFT of the embedded
-    sequence) are provably non-negative for fGn, allowing exact synthesis
-    from complex Gaussian spectral weights.
+    matrix of order ``2n - 2`` with first row
+    ``[gamma_0 .. gamma_{n-1}, gamma_{n-2} .. gamma_1]``; its eigenvalues
+    (the FFT of that row) are provably non-negative for fGn, allowing exact
+    synthesis from complex Gaussian spectral weights.
+
+    Output bits are pinned to this embedding: the standard order-``2n``
+    embedding would give other paths for the same seed.  Its FFT length
+    ``2(n - 1)`` also sets the speed: when ``n - 1`` has a large prime
+    factor (``n = 2**17`` and ``2**19``, where ``n - 1`` is prime) the FFT
+    falls back to Bluestein's algorithm and costs several times more per
+    point than at ``n = 2**18`` (``2**18 - 1 = 3**3 * 7 * 19 * 73``).
+    ``scipy.fft`` keeps its plans between calls, so a repeated ``n`` does
+    not pay for the Bluestein set-up again; the kept plan for
+    ``n = 2**19`` holds about 65 MB.
 
     Raises
     ------
@@ -74,31 +110,17 @@ def fgn_davies_harte(
     if n == 1:
         return gen.normal(0.0, sigma, size=1)
 
-    gamma = fgn_autocovariance(hurst, n, sigma=sigma)
-    # Circulant first row: gamma_0 .. gamma_{n-1}, gamma_n?, mirrored tail.
-    # Standard embedding uses [g0..g_{n-1}, 0-pad centre, g_{n-1}..g1].
-    row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eigenvalues = np.fft.rfft(row).real
-    min_eig = eigenvalues.min()
-    if min_eig < 0:
-        if min_eig < -1e-8 * eigenvalues.max():
-            raise GenerationError(
-                f"circulant embedding not positive semi-definite "
-                f"(min eigenvalue {min_eig:.3e}); hurst={hurst}"
-            )
-        eigenvalues = np.clip(eigenvalues, 0.0, None)
-
-    m = row.size  # 2n - 2
+    scale = _circulant_scale(n, hurst, sigma)
+    m = 2 * n - 2
     # Complex spectral weights with the Hermitian symmetry rfft expects.
-    half = eigenvalues.size  # n
-    scale = np.sqrt(eigenvalues / m)
+    half = scale.size  # n
     real = gen.normal(size=half)
     imag = gen.normal(size=half)
     weights = (real + 1j * imag) * scale
     # Endpoints (DC and Nyquist) must be purely real with doubled variance.
     weights[0] = real[0] * scale[0] * np.sqrt(2.0)
     weights[-1] = real[-1] * scale[-1] * np.sqrt(2.0)
-    sample = np.fft.irfft(weights, n=m) * m / np.sqrt(2.0)
+    sample = scipy.fft.irfft(weights, n=m) * m / np.sqrt(2.0)
     return sample[:n]
 
 

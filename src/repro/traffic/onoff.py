@@ -13,6 +13,7 @@ the relation the paper states as ``alpha = beta + 1``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,11 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.traffic.distributions import Pareto, pareto_alpha_for_hurst
 from repro.utils.rng import normalize_rng, spawn_rngs
-from repro.utils.validation import require_int_at_least, require_positive
+from repro.utils.validation import (
+    require_in_range,
+    require_int_at_least,
+    require_positive,
+)
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,10 @@ class OnOffModel:
 
     def __post_init__(self) -> None:
         require_int_at_least("n_sources", self.n_sources, 1)
-        require_positive("alpha_on", self.alpha_on)
-        require_positive("alpha_off", self.alpha_off)
+        # alpha <= 1 gives sojourns an infinite mean: every source would
+        # start after an infinite random phase and never transmit.
+        require_in_range("alpha_on", self.alpha_on, 1.0, math.inf, inclusive=False)
+        require_in_range("alpha_off", self.alpha_off, 1.0, math.inf, inclusive=False)
         require_positive("min_on", self.min_on)
         require_positive("min_off", self.min_off)
         require_positive("peak_rate", self.peak_rate)
@@ -102,7 +109,10 @@ class OnOffModel:
         Each source's alternating sojourns are laid out on a difference
         array (+rate at burst start, -rate at burst end) and the aggregate
         is obtained by one cumulative sum, so the cost is proportional to
-        the number of bursts, not ``n_sources * n_ticks``.
+        the number of bursts, not ``n_sources * n_ticks``.  A source's
+        sojourns are drawn in batches (see :func:`_sojourn_times`) and its
+        bursts scattered by one ``np.add.at`` in time order, which
+        reproduces :meth:`_reference_generate` bit for bit.
 
         Parameters
         ----------
@@ -111,6 +121,38 @@ class OnOffModel:
             source forget its synchronized start.  Defaults to
             ``min(n_ticks, 4096)``.
         """
+        require_int_at_least("n_ticks", n_ticks, 1)
+        gen = normalize_rng(rng)
+        if warmup is None:
+            warmup = min(n_ticks, 4096)
+        total = n_ticks + warmup
+
+        on_dist = Pareto(self.min_on, self.alpha_on)
+        off_dist = Pareto(self.min_off, self.alpha_off)
+        diff = np.zeros(total + 1, dtype=np.float64)
+
+        for source_rng in spawn_rngs(gen, self.n_sources):
+            # Random initial phase: start OFF with a random residual delay.
+            start = float(source_rng.random() * (on_dist.mean + off_dist.mean))
+            first_on = 0 if source_rng.random() < 0.5 else 1
+            times = _sojourn_times(
+                start, total, on_dist, off_dist, first_on, source_rng
+            )
+            # Sojourn i spans times[i] .. times[i + 1]; every other one,
+            # from first_on, is a burst.
+            starts = times[first_on:-1:2].astype(np.int64)
+            ends = np.minimum(times[first_on + 1 :: 2], total).astype(np.int64)
+            kept = ends > starts
+            edges = np.column_stack((starts[kept], ends[kept])).ravel()
+            rates = np.tile((self.peak_rate, -self.peak_rate), int(kept.sum()))
+            np.add.at(diff, edges, rates)
+        aggregate = np.cumsum(diff[:-1])
+        return aggregate[warmup : warmup + n_ticks]
+
+    def _reference_generate(
+        self, n_ticks: int, rng=None, *, warmup: int | None = None
+    ) -> np.ndarray:
+        """One-sojourn-at-a-time loop that :meth:`generate` reproduces."""
         require_int_at_least("n_ticks", n_ticks, 1)
         gen = normalize_rng(rng)
         if warmup is None:
@@ -139,6 +181,42 @@ class OnOffModel:
                 state_on = not state_on
         aggregate = np.cumsum(diff[:-1])
         return aggregate[warmup : warmup + n_ticks]
+
+
+def _sojourn_times(
+    start: float,
+    horizon: int,
+    on_dist: Pareto,
+    off_dist: Pareto,
+    first_on: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Times ``[t_0, t_1, ..., t_K]`` at which one source's sojourns begin.
+
+    ``t_0 = start`` and ``t_{K-1} < horizon <= t_K``: sojourn ``i`` lasts
+    ``t_{i+1} - t_i`` and is ON when ``i % 2 == first_on``.  Uniforms are
+    drawn in batches, in the order a one-sojourn-at-a-time loop draws
+    them, and ``np.cumsum`` adds the durations sequentially like
+    ``t += d``, so the times equal the loop's bit for bit.  Uniforms left
+    over from the last batch are discarded with the per-source ``rng``.
+    """
+    cycle = on_dist.mean + off_dist.mean
+    chunks = [np.array([start])]
+    t, drawn = start, 0
+    while t < horizon:
+        size = int(2.0 * (horizon - t) / cycle) + 16
+        u = rng.random(size)
+        on = (first_on - drawn) % 2  # first ON sojourn of this batch
+        steps = np.empty(size + 1)
+        steps[0] = t
+        steps[1 + on :: 2] = on_dist.ppf(u[on::2])
+        steps[2 - on :: 2] = off_dist.ppf(u[1 - on :: 2])
+        times = np.cumsum(steps)[1:]
+        chunks.append(times)
+        t = float(times[-1])
+        drawn += size
+    times = np.concatenate(chunks)
+    return times[: np.searchsorted(times, horizon) + 1]
 
 
 @dataclass

@@ -8,7 +8,8 @@ edge cases the rewrites special-case (fixed vs online thresholds, random
 offsets, zero pre-samples, zero extras, partial tail intervals, series of
 one interval).  The single exception is DFA, pinned at 1e-12 because its
 hot path keeps a BLAS matrix-vector product whose reduction order is not
-bit-reproducible against a per-box loop.
+bit-reproducible against a per-box loop.  Davies–Harte fGn has no loop to
+keep: it is pinned to the ``numpy.fft`` formula it replaced.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from repro.queueing.simulation import (
 )
 from repro.trace.io import _RECORD, read_binary, write_binary, write_csv
 from repro.trace.packet import PacketTrace
+from repro.traffic.fgn import fgn_autocovariance, fgn_davies_harte
+from repro.traffic.onoff import OnOffModel
 from repro.traffic.synthetic import fgn_trace, synthetic_trace
 
 
@@ -363,6 +366,82 @@ class TestTailProbabilityParity:
             tail_probabilities(occupancy, thresholds),
             _reference_tail_probabilities(occupancy, thresholds),
         )
+
+
+# ---------------------------------------------------------------- traffic
+ONOFF_MODELS = {
+    "one-source": OnOffModel(n_sources=1),
+    # Unequal tails and minimums, and a rate whose +/- sums round, so the
+    # order of the scatter into the difference array shows.
+    "unequal": OnOffModel(
+        n_sources=5, alpha_on=1.2, alpha_off=1.7, min_on=2.5, min_off=11.0,
+        peak_rate=0.3,
+    ),
+    "aggregate": OnOffModel.for_hurst(0.8, n_sources=64, peak_rate=1.7),
+    # Sub-tick ON bursts (most start and end in one tick, and are dropped)
+    # and near-infinite-mean OFF gaps, which outlast the first batch of
+    # draws.
+    "sub-tick": OnOffModel(
+        n_sources=5, alpha_on=2.5, alpha_off=1.05, min_on=0.1, min_off=0.7,
+        peak_rate=0.1,
+    ),
+}
+
+
+class TestOnOffParity:
+    @pytest.mark.parametrize("model", ONOFF_MODELS.values(), ids=ONOFF_MODELS)
+    @pytest.mark.parametrize("n_ticks", [1, 2, 4096, 1 << 14])
+    @pytest.mark.parametrize("warmup", [0, 7, None])
+    def test_matches_loop(self, model, n_ticks, warmup):
+        for seed in (0, 1, 2):
+            fast_rng = np.random.default_rng(seed)
+            loop_rng = np.random.default_rng(seed)
+            np.testing.assert_array_equal(
+                model.generate(n_ticks, fast_rng, warmup=warmup),
+                model._reference_generate(n_ticks, loop_rng, warmup=warmup),
+            )
+            # Same consumption of the caller's generator.
+            assert fast_rng.random() == loop_rng.random()
+
+
+def _numpy_fft_fgn(n, hurst, seed, sigma=1.0):
+    """Davies-Harte as first written, on numpy.fft."""
+    gen = np.random.default_rng(seed)
+    gamma = fgn_autocovariance(hurst, n, sigma=sigma)
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    eigenvalues = np.fft.rfft(row).real
+    if eigenvalues.min() < 0:
+        eigenvalues = np.clip(eigenvalues, 0.0, None)
+    m = row.size
+    scale = np.sqrt(eigenvalues / m)
+    real = gen.normal(size=n)
+    imag = gen.normal(size=n)
+    weights = (real + 1j * imag) * scale
+    weights[0] = real[0] * scale[0] * np.sqrt(2.0)
+    weights[-1] = real[-1] * scale[-1] * np.sqrt(2.0)
+    return (np.fft.irfft(weights, n=m) * m / np.sqrt(2.0))[:n]
+
+
+class TestFgnParity:
+    """scipy.fft gives numpy.fft's bits.
+
+    Since NumPy 2.0 both libraries run the same pocketfft code, so the
+    pin is exact; ``n = 2**17`` exercises Bluestein's algorithm (its
+    FFT length ``2 * (2**17 - 1)`` has a large prime factor), and the
+    second seed of each case runs on scipy.fft's cached plan.
+    """
+
+    @pytest.mark.parametrize(
+        "n, hurst, sigma",
+        [(2, 0.7, 1.0), (3, 0.3, 1.0), (4096, 0.8, 2.5), (1 << 17, 0.85, 1.0),
+         (1 << 17, 0.6, 0.4)],
+    )
+    def test_matches_numpy_fft(self, n, hurst, sigma):
+        for seed in (0, 1):
+            np.testing.assert_array_equal(
+                fgn_davies_harte(n, hurst, seed, sigma=sigma),
+                _numpy_fft_fgn(n, hurst, seed, sigma=sigma),
+            )
 
 
 # -------------------------------------------------------------- trace io

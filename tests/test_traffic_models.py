@@ -58,6 +58,12 @@ class TestOnOffModel:
             OnOffModel(n_sources=0)
         with pytest.raises(ParameterError):
             OnOffModel(min_on=-1.0)
+        # alpha <= 1: infinite mean sojourns, an all-zero trace and a NaN
+        # mean_rate, so the model is refused up front.
+        with pytest.raises(ParameterError, match="alpha_on"):
+            OnOffModel(alpha_on=0.9)
+        with pytest.raises(ParameterError, match="alpha_off"):
+            OnOffModel(alpha_off=1.0)
 
     def test_target_hurst_requires_lrd_alpha(self):
         model = OnOffModel(alpha_on=2.5, alpha_off=2.5)
