@@ -48,7 +48,6 @@ from repro.core.base import (
 )
 from repro.core.parameters import l_for_xi, threshold_ratio
 from repro.errors import DesignError, ParameterError
-from repro.kernels import bss_replay_kernel
 from repro.utils.rng import normalize_rng
 from repro.utils.validation import require_int_at_least, require_positive
 
@@ -298,30 +297,7 @@ class BiasedSystematicSampler(Sampler):
             running_count += 1
         threshold = eps * running_sum / running_count
         start = pivot + 1
-        kernel = bss_replay_kernel() if start < m else None
-        if kernel is not None:
-            # Compiled replay: the same recurrence, same float64 op
-            # order, under strict IEEE (no fastmath) — bit-identical to
-            # the pure loop below, pinned by tests/test_perf_parity.py.
-            capacity = (m - start) * max(offsets.size, 1)
-            out_idx = np.empty(capacity, dtype=np.int64)
-            out_val = np.empty(capacity, dtype=np.float64)
-            kept_n = kernel(
-                values,
-                np.ascontiguousarray(reg_idx, dtype=np.int64),
-                np.ascontiguousarray(reg_val, dtype=np.float64),
-                offsets,
-                start,
-                running_sum,
-                running_count,
-                threshold,
-                eps,
-                out_idx,
-                out_val,
-            )
-            qualified_idx.extend(out_idx[:kept_n].tolist())
-            qualified_val.extend(out_val[:kept_n].tolist())
-        elif start < m:
+        if start < m:
             tail_val = reg_val[start:].tolist()
             # Replay triggers mostly coincide with the frozen triggers,
             # whose extras are already gathered — expose them as plain

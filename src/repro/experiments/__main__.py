@@ -5,8 +5,7 @@ Usage::
     python -m repro.experiments list
     python -m repro.experiments run fig18 [--scale 0.5] [--seed 1] [--workers 4]
     python -m repro.experiments run all   [--scale 0.25] [--runtime persistent]
-    python -m repro.experiments run fig18 [--kernels on] [--telemetry on]
-    python -m repro.experiments bench [--quick] [--workers 4] [--output BENCH_PR10.json]
+    python -m repro.experiments run fig18 [--telemetry on]
     python -m repro.experiments runtime
     python -m repro.experiments scenarios list
     python -m repro.experiments scenarios run [NAME ...] [--smoke] [--resume]
@@ -20,17 +19,14 @@ which sets the session default; results never depend on either.
 ``--runtime persistent`` (or ``REPRO_RUNTIME=persistent``) keeps one
 worker pool alive across every figure/campaign cell instead of forking
 per parallel region — same outputs, less fixed overhead for many-cell
-sweeps.  ``--kernels on`` (or ``REPRO_KERNELS=on``) enables the
-optional compiled BSS replay kernel — bit-identical results, faster
-replay tails when numba is installed, silently pure-NumPy when it is
-not.  ``--schedule`` (or ``REPRO_SCHEDULE``) picks where parallelism
+sweeps.  ``--schedule`` (or ``REPRO_SCHEDULE``) picks where parallelism
 sits: ``ensembles`` shards inside each cell/row, ``cells`` shards the
 campaign's pending-cell list (or a panel's independent rows) across the
 pool, and ``auto`` — the default — decides per workload; stores and
 figures are byte-identical in every mode.  The ``runtime`` subcommand
-prints the parallel + native-tier configuration this machine and
-environment would run with, each knob annotated with its provenance
-(default / env / context / cli).
+prints the parallel configuration this machine and environment would
+run with, each knob annotated with its provenance (default / env /
+context / cli).
 
 ``--telemetry on`` (or ``REPRO_TELEMETRY=on``) records span traces,
 metrics, and structured events through :mod:`repro.obs`; campaigns also
@@ -88,11 +84,6 @@ def main(argv=None) -> int:
                              "every figure (amortizes fork); 'fresh' forks "
                              "per parallel region.  Results are identical; "
                              "default comes from REPRO_RUNTIME (else fresh)")
-    runner.add_argument("--kernels", choices=("on", "off"), default=None,
-                        help="enable the optional compiled BSS replay "
-                             "kernel (bit-identical results; pure NumPy "
-                             "when numba is absent).  Default comes from "
-                             "REPRO_KERNELS (else off)")
     runner.add_argument("--schedule", choices=("auto", "cells", "ensembles"),
                         default=None,
                         help="where parallelism sits: 'ensembles' shards "
@@ -109,28 +100,6 @@ def main(argv=None) -> int:
         help="show the parallel runtime configuration for this "
              "machine/session, with each knob's provenance",
     )
-    bench = sub.add_parser(
-        "bench",
-        help="time the vectorized hot paths against their reference loops",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="1/8-scale smoke-test mode (finishes in seconds)")
-    bench.add_argument("--output", default=None,
-                       help="JSON report path (default BENCH_PR10.json)")
-    bench.add_argument("--seed", type=int, default=None,
-                       help="override the benchmark workload seed")
-    bench.add_argument("--workers", type=int, default=None,
-                       help="also record workers=1 vs workers=N parallel-"
-                            "scaling rows for the sharded ensemble engine")
-    bench.add_argument("--kernels", choices=("on", "off"), default=None,
-                       help="run the suite with the compiled kernel tier "
-                            "enabled/disabled (the dedicated kernel row "
-                            "times both regardless)")
-    bench.add_argument("--telemetry", choices=("on", "off"), default=None,
-                       help="run the suite with telemetry recording "
-                            "enabled/disabled (the overhead row times both "
-                            "regardless)")
-
     scenarios = sub.add_parser(
         "scenarios",
         help="declarative evaluation campaigns with a resumable store",
@@ -162,9 +131,6 @@ def main(argv=None) -> int:
                           default=None,
                           help="worker-pool lifetime across cells (default "
                                "from REPRO_RUNTIME, else fresh)")
-    scen_run.add_argument("--kernels", choices=("on", "off"), default=None,
-                          help="compiled BSS replay kernel tier (results "
-                               "identical; default from REPRO_KERNELS)")
     scen_run.add_argument("--schedule",
                           choices=("auto", "cells", "ensembles"),
                           default=None,
@@ -176,8 +142,8 @@ def main(argv=None) -> int:
                                "(else auto)")
     scen_run.add_argument("--max-attempts", type=int, default=None,
                           help="per-shard retry budget for worker-loss/"
-                               "deadline recovery (default 3; 1 disables "
-                               "supervision)")
+                               "deadline recovery (default 3; 1 never "
+                               "retries: a lost shard fails at once)")
     scen_run.add_argument("--shard-deadline", type=float, default=None,
                           help="seconds a dispatched shard may run before "
                                "it is retried (default: no deadline)")
@@ -229,33 +195,6 @@ def main(argv=None) -> int:
     if args.command == "telemetry":
         return _telemetry_main(args)
 
-    if args.command == "bench":
-        import contextlib
-
-        import repro.obs as obs
-        from repro.experiments.bench import main as bench_main
-        from repro.kernels import kernels as kernels_scope
-
-        bench_argv = []
-        if args.quick:
-            bench_argv.append("--quick")
-        if args.output is not None:
-            bench_argv.extend(["--output", args.output])
-        if args.seed is not None:
-            bench_argv.extend(["--seed", str(args.seed)])
-        if args.workers is not None:
-            bench_argv.extend(["--workers", str(args.workers)])
-        scope = (
-            kernels_scope(args.kernels == "on") if args.kernels is not None
-            else contextlib.nullcontext()
-        )
-        telemetry_scope = (
-            obs.telemetry(args.telemetry == "on")
-            if args.telemetry is not None else contextlib.nullcontext()
-        )
-        with scope, telemetry_scope:
-            return bench_main(bench_argv)
-
     if args.command == "scenarios":
         return _scenarios_main(args)
 
@@ -263,11 +202,9 @@ def main(argv=None) -> int:
     # A persistent scope keeps one pool alive across *all* requested
     # figures — the fork cost is paid once per session, not per
     # figure (and not per panel cell).  Outputs are identical.
-    kernels = None if args.kernels is None else args.kernels == "on"
     telemetry = None if args.telemetry is None else args.telemetry == "on"
     with execution_scope(workers=args.workers, runtime=args.runtime,
-                         kernels=kernels, schedule=args.schedule,
-                         telemetry=telemetry):
+                         schedule=args.schedule, telemetry=telemetry):
         for name in names:
             start = time.perf_counter()
             panels = run_experiment(name, scale=args.scale, seed=args.seed)
@@ -288,18 +225,11 @@ def _runtime_main() -> int:
     the environment variable or scope that set it.
     """
     import repro.obs as obs
-    from repro.kernels import (
-        kernels_enabled,
-        kernels_provenance,
-        numba_available,
-    )
     from repro.parallel import (
         get_default_schedule,
         get_default_workers,
         pool_start_method,
-        prefetch_backend_from_env,
         schedule_provenance,
-        sharing_enabled,
         suggested_workers,
         workers_provenance,
     )
@@ -320,13 +250,6 @@ def _runtime_main() -> int:
           f"[{_env_source('REPRO_RUNTIME')}] {_env('REPRO_RUNTIME')}")
     print(f"schedule:           {get_default_schedule()} "
           f"[{schedule_provenance()}] {_env('REPRO_SCHEDULE')}")
-    print(f"trace_sharing:      {'on' if sharing_enabled() else 'off'} "
-          f"[default]")
-    print(f"prefetch_backend:   {prefetch_backend_from_env()} "
-          f"[{_env_source('REPRO_PREFETCH')}] {_env('REPRO_PREFETCH')}")
-    print(f"kernels:            {'on' if kernels_enabled() else 'off'} "
-          f"[{kernels_provenance()}] {_env('REPRO_KERNELS')}, "
-          f"numba={'present' if numba_available() else 'absent'}")
     print(f"telemetry:          "
           f"{'on' if obs.telemetry_enabled() else 'off'} "
           f"[{obs.telemetry_provenance()}] {_env('REPRO_TELEMETRY')}")
@@ -409,7 +332,6 @@ def _scenarios_main(args) -> int:
         fault_plan(args.faults) if args.faults is not None
         else contextlib.nullcontext()
     )
-    kernels = None if args.kernels is None else args.kernels == "on"
     telemetry = None if args.telemetry is None else args.telemetry == "on"
     if args.profile is not None:
         import repro.obs as obs
@@ -421,7 +343,6 @@ def _scenarios_main(args) -> int:
     with faults_scope, profile_scope, \
             execution_scope(workers=args.workers,
                             runtime=args.runtime,
-                            kernels=kernels,
                             schedule=args.schedule,
                             telemetry=telemetry):
         summary = run_campaign(

@@ -79,24 +79,22 @@ def median_instance_means(
 
 @contextlib.contextmanager
 def execution_scope(*, workers: int | None = None, runtime: str | None = None,
-                    kernels: bool | None = None, schedule: str | None = None,
+                    schedule: str | None = None,
                     telemetry: bool | None = None):
-    """The CLI's run context: workers default + pool runtime + kernels.
+    """The CLI's run context: workers default + pool runtime + telemetry.
 
     One scope serves every harness entry point (figure runs, scenario
     campaigns): ``workers`` becomes the session sharding default for the
     block, ``runtime="persistent"`` keeps one worker pool alive across
     every parallel region inside it (``None`` consults
-    ``REPRO_RUNTIME``), ``kernels=True`` enables the optional compiled
-    tier (``None`` consults ``REPRO_KERNELS``), ``schedule`` sets
-    the session cell-scheduling mode — ``"cells"``, ``"ensembles"``, or
-    ``"auto"`` (``None`` consults ``REPRO_SCHEDULE``), and
-    ``telemetry=True`` turns on span/metric recording for the block
-    (``None`` consults ``REPRO_TELEMETRY``).  Results never depend on
-    any of them — the scope is purely a wall-clock lever.
+    ``REPRO_RUNTIME``), ``schedule`` sets the session cell-scheduling
+    mode — ``"cells"``, ``"ensembles"``, or ``"auto"`` (``None``
+    consults ``REPRO_SCHEDULE``), and ``telemetry=True`` turns on
+    span/metric recording for the block (``None`` consults
+    ``REPRO_TELEMETRY``).  Results never depend on any of them — the
+    scope is purely a wall-clock lever.
     """
     import repro.obs as obs
-    from repro.kernels import kernels as kernels_scope
     from repro.parallel import default_schedule, default_workers
     from repro.parallel.runtime import pool_runtime, runtime_mode_from_env
 
@@ -108,16 +106,12 @@ def execution_scope(*, workers: int | None = None, runtime: str | None = None,
     pool_scope = (
         pool_runtime() if mode == "persistent" else contextlib.nullcontext()
     )
-    kernel_scope = (
-        kernels_scope(kernels) if kernels is not None
-        else contextlib.nullcontext()
-    )
     telemetry_scope = (
         obs.telemetry(telemetry) if telemetry is not None
         else contextlib.nullcontext()
     )
-    with pool_scope, kernel_scope, default_workers(workers), \
-            default_schedule(schedule), telemetry_scope:
+    with pool_scope, default_workers(workers), default_schedule(schedule), \
+            telemetry_scope:
         yield
 
 

@@ -11,7 +11,8 @@ explicitly *excluded* from the byte-identity contracts — wall-clock
 timestamps live only there — so stores, manifests, and figures stay
 byte-identical with telemetry on or off.
 
-Activation follows the ``REPRO_KERNELS`` precedence grammar:
+Activation follows the same precedence grammar as the other
+``REPRO_*`` knobs:
 
 * ``REPRO_TELEMETRY=on|1|true|yes`` enables the session collector;
   ``off|0|false|no`` (or unset) disables it.  Malformed values raise

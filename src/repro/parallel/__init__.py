@@ -21,7 +21,9 @@ turns every such workload into a sharded computation:
    sequential routines, pinned to them by the determinism test-suite
    (exact, or 1e-12 where the reduction order changes);
 6. :mod:`~repro.parallel.streaming` folds the same states over
-   bounded-memory chunk streams (including chunked trace files).
+   bounded-memory chunk streams (including chunked trace files), with a
+   reader thread prefetching the next chunk while the current one
+   reduces.
 
 ``workers=1`` and ``workers=N`` are bit-for-bit identical for every
 randomised ensemble: per-instance RNG streams are spawned once from the
@@ -55,9 +57,7 @@ from repro.parallel.executor import (
     set_default_workers,
     workers_provenance,
     set_retry_policy,
-    sharing_enabled,
     suggested_workers,
-    trace_sharing,
 )
 from repro.parallel.memory import shared_values
 from repro.parallel.plan import JointPlan, ScaleSlice, Shard, ShardPlan
@@ -80,10 +80,8 @@ from repro.parallel.state import (
     merge_states,
 )
 from repro.parallel.streaming import (
-    TraceChunkSource,
     chunked,
     parallel_chunk_tail_probabilities,
-    prefetch_backend_from_env,
     prefetch_chunks,
     streamed_moments,
     streamed_queue_tail_probabilities,
@@ -124,8 +122,6 @@ __all__ = [
     "schedule_provenance",
     "suggested_workers",
     "pool_start_method",
-    "trace_sharing",
-    "sharing_enabled",
     "shared_values",
     # states
     "MergeableState",
@@ -145,8 +141,6 @@ __all__ = [
     "parallel_tail_probabilities",
     # streaming
     "chunked",
-    "TraceChunkSource",
-    "prefetch_backend_from_env",
     "prefetch_chunks",
     "streamed_moments",
     "streamed_tail_probabilities",

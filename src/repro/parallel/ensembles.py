@@ -114,178 +114,26 @@ def parallel_average_variance(
 
 
 # -------------------------------------------------------------- estimators
-#: Estimator shard layouts.  ``joint`` lays every scale's rows on one
-#: global cost line and cuts it into equal-cost segments
-#: (:class:`~repro.parallel.plan.JointPlan`) — the default, since
-#: many-scale grids starve shards at large scales otherwise.
-#: ``per-scale`` is PR 2's layout (each scale's rows split across every
-#: shard), kept as the benchmark control.
-_LAYOUTS = ("joint", "per-scale")
-
-
-def _validate_layout(layout: str) -> str:
-    if layout not in _LAYOUTS:
-        raise ParameterError(
-            f"layout must be one of {_LAYOUTS}, got {layout!r}"
-        )
-    return layout
-
-
-#: Cost models for the joint layout's cost line.  ``static`` weights a
-#: row by its scale (a size-``s`` window touches ``s`` points);
-#: ``measured`` probes each scale's actual per-row throughput instead —
-#: cache effects make small-scale rows cheaper *per point*, which the
-#: static line cannot see.  A sequence of explicit per-scale weights is
-#: also accepted (deterministic, e.g. replayed from a previous probe).
-_COST_MODELS = ("static", "measured")
-
-#: Rows per scale the ``measured`` probe times (at most).
-_PROBE_ROWS = 4
-
-#: Only scales with at least this many times the probe rows get timed:
-#: the probe re-runs rows the shards will compute again — twice, for the
-#: best-of-two — so it must stay a small fraction (here <= 2/16 = 1/8)
-#: of any scale's total work.  Sparser scales — the few-windows-at-
-#: large-scale end of the grid — have their cost extrapolated instead
-#: of measured.
-_PROBE_MIN_FACTOR = 16
-
-
-def _measured_row_costs(row_fn, x, sizes, row_counts, static_costs) -> list[int]:
-    """Per-scale integer cost weights from a bounded throughput probe.
-
-    Times ``row_fn`` on :data:`_PROBE_ROWS` leading rows (best of two,
-    so one scheduler hiccup cannot skew the plan) of every scale dense
-    enough that the probe stays a small fraction of its total rows.
-    Sparse scales (e.g. two windows of half the series) would pay the
-    probe as a serial pre-run of their whole work, so their per-row cost
-    is extrapolated from the largest probed scale's per-*point*
-    throughput; if nothing qualifies for probing, the static cost line
-    is returned unchanged.
-    """
-    import time
-
-    per_row = [0.0] * len(static_costs)
-    probed_size = 0
-    probed_per_point = 0.0
-    for i, (size, count) in enumerate(zip(sizes, row_counts)):
-        size, count = int(size), int(count)
-        if count < _PROBE_ROWS * _PROBE_MIN_FACTOR:
-            continue
-        best = float("inf")
-        for __ in range(2):
-            start = time.perf_counter()
-            row_fn(x, size, 0, _PROBE_ROWS)
-            best = min(best, time.perf_counter() - start)
-        per_row[i] = best / _PROBE_ROWS
-        if size > probed_size and per_row[i] > 0.0:
-            probed_size = size
-            probed_per_point = per_row[i] / size
-    if probed_size == 0:
-        return static_costs
-    for i, (size, count) in enumerate(zip(sizes, row_counts)):
-        if per_row[i] == 0.0 and int(count) > 0:
-            per_row[i] = probed_per_point * int(size)
-    floor = min((t for t in per_row if t > 0.0), default=1.0)
-    return [max(int(round(t / floor)), 1) for t in per_row]
-
-
-def _validate_cost_model(cost_model) -> None:
-    """Reject unknown names and non-sequence values (sequences are
-    length-checked at resolution, where the scale grid is in hand)."""
-    if isinstance(cost_model, str):
-        if cost_model not in _COST_MODELS:
-            raise ParameterError(
-                f"cost_model must be one of {_COST_MODELS} or a per-scale "
-                f"weight sequence, got {cost_model!r}"
-            )
-        return
-    try:
-        iter(cost_model)
-    except TypeError:
-        raise ParameterError(
-            f"cost_model must be one of {_COST_MODELS} or a per-scale "
-            f"weight sequence, got {cost_model!r}"
-        ) from None
-
-
-def _resolve_row_costs(cost_model, row_fn, x, sizes, row_counts, static_costs):
-    """The joint layout's cost line under the (pre-validated) cost model."""
-    if isinstance(cost_model, str):
-        if cost_model == "static":
-            return static_costs
-        return _measured_row_costs(row_fn, x, sizes, row_counts, static_costs)
-    weights = []
-    for w in cost_model:
-        # Genuine ints only: truncating a replayed float timing (1.9 ->
-        # 1, 0.5 -> 0) would silently distort the plan it parameterises.
-        if isinstance(w, bool) or not isinstance(w, (int, np.integer)):
-            raise ParameterError(
-                f"cost_model weights must be integers, got {w!r} "
-                f"({type(w).__name__})"
-            )
-        weights.append(int(w))
-    if len(weights) != len(sizes):
-        raise ParameterError(
-            f"cost_model has {len(weights)} weights for {len(sizes)} scales"
-        )
-    return weights
-
-
-def _shard_rows(n_rows: int, index: int, n_shards: int) -> tuple[int, int]:
-    """Rows [lo, hi) of shard ``index`` out of ``n_shards`` (balanced)."""
-    lo = (n_rows * index) // n_shards
-    hi = (n_rows * (index + 1)) // n_shards
-    return lo, hi
-
-
 def _run_sharded_estimator(
     x: np.ndarray,
     sizes: np.ndarray,
     *,
     workers: int,
-    layout: str,
-    cost_model,
-    row_fn,
-    per_scale_fn,
     joint_fn,
     row_counts,
-    static_costs,
+    row_costs,
     empty_state,
 ):
     """Shared dispatch for the three estimator entry points.
 
-    ``per-scale`` dispatches one task per shard index (each task walks
-    every scale); ``joint`` splits the (scale × rows) grid on one cost
-    line — weighted per ``cost_model`` — via :class:`JointPlan` and
-    dispatches each shard's explicit ``(scale, lo, hi)`` assignments.
+    Lays every scale's rows on one cost line (a row's cost is its
+    scale: a size-``s`` window touches ``s`` points), cuts it into
+    equal-cost segments with :class:`JointPlan` — splitting each scale
+    on its own would starve shards at the large scales — and dispatches
+    each shard's explicit ``(scale, lo, hi)`` assignments.
     ``empty_state`` finalizes the all-degenerate case (no rows anywhere)
     without touching a pool.
     """
-    _validate_cost_model(cost_model)
-    if layout == "per-scale":
-        if not (isinstance(cost_model, str) and cost_model == "static"):
-            # The per-scale layout has no cost line; silently discarding
-            # a measured/explicit model would let a replayed probe do
-            # nothing without a signal.
-            raise ParameterError(
-                f"cost_model {cost_model!r} only applies to layout='joint'; "
-                "layout='per-scale' always splits rows evenly within each "
-                "scale"
-            )
-        n_shards = workers
-        with shared_values(x, workers=workers, n_tasks=n_shards) as ref:
-            tasks = [(ref, sizes, index, n_shards) for index in range(n_shards)]
-            partials = run_shards(per_scale_fn, tasks, workers=workers)
-        return merge_states(partials).finalize()
-    if workers == 1 and isinstance(cost_model, str):
-        # One shard whatever the weights: don't pay the measured probe
-        # (sequences still get length-validated below — a wrong-size
-        # replay is a caller bug regardless of worker count).
-        cost_model = "static"
-    row_costs = _resolve_row_costs(
-        cost_model, row_fn, x, sizes, row_counts, static_costs
-    )
     plan = JointPlan.split(row_counts, row_costs, workers)
     if plan.n_shards == 0:
         return empty_state.finalize()
@@ -305,27 +153,8 @@ def _rs_rows(x: np.ndarray, size: int, lo: int, hi: int) -> tuple[float, int]:
     return float((spans[keep] / std[keep]).sum()), int(keep.sum())
 
 
-def _rs_partial(
-    x_ref, window_sizes: np.ndarray, index: int, n_shards: int
-) -> RSState:
-    """Per-scale layout: this shard's window rows of every size."""
-    x = resolve_values(x_ref)
-    finite_sum = np.zeros(len(window_sizes))
-    finite_count = np.zeros(len(window_sizes), dtype=np.int64)
-    for i, size in enumerate(window_sizes):
-        size = int(size)
-        n_windows = x.size // size
-        if n_windows == 0 or size < 2:
-            continue
-        lo, hi = _shard_rows(n_windows, index, n_shards)
-        if hi <= lo:
-            continue
-        finite_sum[i], finite_count[i] = _rs_rows(x, size, lo, hi)
-    return RSState(finite_sum=finite_sum, finite_count=finite_count)
-
-
-def _rs_joint_partial(x_ref, window_sizes: np.ndarray, assignments) -> RSState:
-    """Joint layout: the ``(scale, lo, hi)`` row ranges this shard owns."""
+def _rs_partial(x_ref, window_sizes: np.ndarray, assignments) -> RSState:
+    """Shard worker: the ``(scale, lo, hi)`` window ranges this shard owns."""
     x = resolve_values(x_ref)
     finite_sum = np.zeros(len(window_sizes))
     finite_count = np.zeros(len(window_sizes), dtype=np.int64)
@@ -334,32 +163,20 @@ def _rs_joint_partial(x_ref, window_sizes: np.ndarray, assignments) -> RSState:
     return RSState(finite_sum=finite_sum, finite_count=finite_count)
 
 
-def parallel_rs_statistics(
-    values, window_sizes, *, workers=None, layout: str = "joint",
-    cost_model="static",
-) -> np.ndarray:
+def parallel_rs_statistics(values, window_sizes, *, workers=None) -> np.ndarray:
     """Sharded twin of :func:`repro.hurst.rs.rs_statistics`.
 
-    Windows are split across shards — jointly over the (scale × window)
-    grid by default, or within each scale with ``layout="per-scale"``;
-    degenerate sizes (no complete window, or size < 2) finalize to NaN
-    exactly as the sequential path reports them.  ``cost_model``
-    selects the joint layout's cost line: ``"static"`` (row cost =
-    scale, the default/control), ``"measured"`` (per-scale throughput
-    probe — the partition then depends on timings, so merged floats may
-    differ between runs within the usual 1e-12 reduction-order band), or
-    an explicit per-scale weight sequence.
+    Windows are split across shards jointly over the (scale × window)
+    grid; degenerate sizes (no complete window, or size < 2) finalize to
+    NaN exactly as the sequential path reports them.
     """
-    _validate_layout(layout)
     n_workers = resolve_workers(workers)
     x = as_float_array(values, name="values", min_length=16)
     sizes = np.asarray(window_sizes, dtype=np.int64)
     return _run_sharded_estimator(
-        x, sizes, workers=n_workers, layout=layout,
-        cost_model=cost_model, row_fn=_rs_rows,
-        per_scale_fn=_rs_partial, joint_fn=_rs_joint_partial,
+        x, sizes, workers=n_workers, joint_fn=_rs_partial,
         row_counts=[x.size // int(s) if int(s) >= 2 else 0 for s in sizes],
-        static_costs=[max(int(s), 1) for s in sizes],
+        row_costs=[max(int(s), 1) for s in sizes],
         empty_state=RSState(
             finite_sum=np.zeros(sizes.size),
             finite_count=np.zeros(sizes.size, dtype=np.int64),
@@ -372,26 +189,8 @@ def _aggvar_rows(x: np.ndarray, m: int, lo: int, hi: int) -> np.ndarray:
     return x[lo * m : hi * m].reshape(hi - lo, m).mean(axis=1)
 
 
-def _aggvar_partial(
-    x_ref, block_sizes: np.ndarray, index: int, n_shards: int
-) -> AggVarState:
-    """Per-scale layout: this shard's blocks of every size."""
-    x = resolve_values(x_ref)
-    per_size_means = []
-    for m in block_sizes:
-        m = int(m)
-        lo, hi = _shard_rows(x.size // m, index, n_shards)
-        if hi <= lo:
-            per_size_means.append(np.empty(0))
-            continue
-        per_size_means.append(_aggvar_rows(x, m, lo, hi))
-    return AggVarState.from_block_means(per_size_means)
-
-
-def _aggvar_joint_partial(
-    x_ref, block_sizes: np.ndarray, assignments
-) -> AggVarState:
-    """Joint layout: the ``(scale, lo, hi)`` block ranges this shard owns."""
+def _aggvar_partial(x_ref, block_sizes: np.ndarray, assignments) -> AggVarState:
+    """Shard worker: the ``(scale, lo, hi)`` block ranges this shard owns."""
     x = resolve_values(x_ref)
     per_size_means = [np.empty(0)] * len(block_sizes)
     for i, lo, hi in assignments:
@@ -399,15 +198,8 @@ def _aggvar_joint_partial(
     return AggVarState.from_block_means(per_size_means)
 
 
-def parallel_aggregate_variances(
-    values, block_sizes, *, workers=None, layout: str = "joint",
-    cost_model="static",
-) -> np.ndarray:
-    """Sharded twin of :func:`repro.hurst.aggvar.aggregate_variances`.
-
-    ``cost_model`` as in :func:`parallel_rs_statistics`.
-    """
-    _validate_layout(layout)
+def parallel_aggregate_variances(values, block_sizes, *, workers=None) -> np.ndarray:
+    """Sharded twin of :func:`repro.hurst.aggvar.aggregate_variances`."""
     n_workers = resolve_workers(workers)
     x = as_float_array(values, name="values", min_length=4)
     sizes = np.asarray(block_sizes, dtype=np.int64)
@@ -421,11 +213,9 @@ def parallel_aggregate_variances(
                 f"series of length {x.size} has no complete block of size {m}"
             )
     return _run_sharded_estimator(
-        x, sizes, workers=n_workers, layout=layout,
-        cost_model=cost_model, row_fn=_aggvar_rows,
-        per_scale_fn=_aggvar_partial, joint_fn=_aggvar_joint_partial,
+        x, sizes, workers=n_workers, joint_fn=_aggvar_partial,
         row_counts=[x.size // int(m) for m in sizes],
-        static_costs=[int(m) for m in sizes],
+        row_costs=[int(m) for m in sizes],
         empty_state=AggVarState(  # only reachable with an empty scale grid
             count=np.zeros(sizes.size, dtype=np.int64),
             mean=np.zeros(sizes.size),
@@ -448,27 +238,8 @@ def _dfa_rows(profile: np.ndarray, size: int, lo: int, hi: int) -> tuple[float, 
     return float((residuals**2).sum()), residuals.size
 
 
-def _dfa_partial(
-    profile_ref, box_sizes: np.ndarray, index: int, n_shards: int
-) -> DFAState:
-    """Per-scale layout: this shard's boxes of every size."""
-    profile = resolve_values(profile_ref)
-    sq_sum = np.zeros(len(box_sizes))
-    n_points = np.zeros(len(box_sizes), dtype=np.int64)
-    for i, size in enumerate(box_sizes):
-        size = int(size)
-        n_boxes = profile.size // size
-        if n_boxes < 1 or size < 4:
-            continue
-        lo, hi = _shard_rows(n_boxes, index, n_shards)
-        if hi <= lo:
-            continue
-        sq_sum[i], n_points[i] = _dfa_rows(profile, size, lo, hi)
-    return DFAState(sq_sum=sq_sum, n_points=n_points)
-
-
-def _dfa_joint_partial(profile_ref, box_sizes: np.ndarray, assignments) -> DFAState:
-    """Joint layout: the ``(scale, lo, hi)`` box ranges this shard owns."""
+def _dfa_partial(profile_ref, box_sizes: np.ndarray, assignments) -> DFAState:
+    """Shard worker: the ``(scale, lo, hi)`` box ranges this shard owns."""
     profile = resolve_values(profile_ref)
     sq_sum = np.zeros(len(box_sizes))
     n_points = np.zeros(len(box_sizes), dtype=np.int64)
@@ -477,28 +248,20 @@ def _dfa_joint_partial(profile_ref, box_sizes: np.ndarray, assignments) -> DFASt
     return DFAState(sq_sum=sq_sum, n_points=n_points)
 
 
-def parallel_dfa_fluctuations(
-    values, box_sizes, *, workers=None, layout: str = "joint",
-    cost_model="static",
-) -> np.ndarray:
+def parallel_dfa_fluctuations(values, box_sizes, *, workers=None) -> np.ndarray:
     """Sharded twin of :func:`repro.hurst.dfa.dfa_fluctuations`.
 
     The integrated profile is a global cumulative sum and is computed once
     in the parent; shards detrend disjoint box ranges of it.
-    ``cost_model`` as in :func:`parallel_rs_statistics` (the measured
-    probe times detrending rows of the profile).
     """
-    _validate_layout(layout)
     n_workers = resolve_workers(workers)
     x = as_float_array(values, name="values", min_length=32)
     profile = np.cumsum(x - x.mean())
     sizes = np.asarray(box_sizes, dtype=np.int64)
     return _run_sharded_estimator(
-        profile, sizes, workers=n_workers, layout=layout,
-        cost_model=cost_model, row_fn=_dfa_rows,
-        per_scale_fn=_dfa_partial, joint_fn=_dfa_joint_partial,
+        profile, sizes, workers=n_workers, joint_fn=_dfa_partial,
         row_counts=[profile.size // int(s) if int(s) >= 4 else 0 for s in sizes],
-        static_costs=[max(int(s), 1) for s in sizes],
+        row_costs=[max(int(s), 1) for s in sizes],
         empty_state=DFAState(
             sq_sum=np.zeros(sizes.size),
             n_points=np.zeros(sizes.size, dtype=np.int64),

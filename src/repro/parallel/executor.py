@@ -21,7 +21,7 @@ silently running serial); the ``--workers`` CLI flag and the
 
 Fault tolerance (the supervision layer)
 ---------------------------------------
-Pool dispatch is *supervised* by default: instead of one blocking
+Every pool dispatch is *supervised*: instead of one blocking
 ``starmap``, shards go out as individual async tasks and the parent
 watches the pool's worker processes while it collects results.  A worker
 that dies (killed, OOM, segfault) or a shard that misses the
@@ -35,12 +35,12 @@ A shard still failing after its last attempt raises
 :class:`~repro.errors.RetryBudgetError`, which the campaign layer turns
 into a quarantined cell instead of an aborted run.
 
-``RetryPolicy(max_attempts=1)`` disables supervision and restores the
-plain ``starmap`` fast path (the benchmark control).  Deterministic
-fault *injection* — the tooling that proves all of this on every CI run
-— lives in :mod:`repro.faults`; when a fault plan is active, shard
-dispatch routes through its picklable wrapper so directives fire inside
-the workers.
+Dispatch under ``RetryPolicy(max_attempts=1)`` is supervised too; the
+budget only forbids retries, so a lost shard raises at once instead of
+hanging the call.  Deterministic fault *injection* — the tooling that
+proves all of this on every CI run — lives in :mod:`repro.faults`; when
+a fault plan is active, shard dispatch routes through its picklable
+wrapper so directives fire inside the workers.
 """
 
 from __future__ import annotations
@@ -103,11 +103,6 @@ _DEFAULT_WORKERS: int | None = None
 #: Provenance of the session worker default, for the ``runtime`` CLI:
 #: "default", "env", "cli", or "context".
 _WORKERS_SOURCE = "default"
-
-#: When False, parallel entry points skip the zero-copy trace protocol
-#: and dispatch shard arguments by pickling (PR 2 behaviour) — kept as a
-#: benchmark control, toggled via :func:`trace_sharing`.
-_SHARE_TRACES = True
 
 
 def set_default_workers(workers: int, *, _source: str = "cli") -> None:
@@ -200,29 +195,6 @@ def machine_metadata() -> dict:
         "machine": platform.machine(),
         "start_method": pool_start_method(),
     }
-
-
-@contextlib.contextmanager
-def trace_sharing(enabled: bool):
-    """Temporarily enable/disable the zero-copy trace dispatch protocol.
-
-    With sharing disabled, parallel entry points fall back to pickling
-    trace arrays into every shard (PR 2's dispatch).  Results are
-    identical either way; the toggle exists so benchmarks can measure
-    the copy the protocol removes.
-    """
-    global _SHARE_TRACES
-    previous = _SHARE_TRACES
-    _SHARE_TRACES = bool(enabled)
-    try:
-        yield
-    finally:
-        _SHARE_TRACES = previous
-
-
-def sharing_enabled() -> bool:
-    """Whether parallel entry points publish traces instead of pickling."""
-    return _SHARE_TRACES
 
 
 #: Campaign scheduling modes — where the unit of parallel dispatch sits.
@@ -361,9 +333,9 @@ class RetryPolicy:
     """How supervised dispatch handles lost, hung, and failing shards.
 
     ``max_attempts`` is the per-shard budget: the first execution is
-    attempt 1, so ``max_attempts=1`` means "never retry" — and, with no
-    deadline, disables supervision entirely (shards go out as one plain
-    ``starmap``, the benchmark control).  ``shard_deadline`` (seconds,
+    attempt 1, so ``max_attempts=1`` means "never retry" — a lost shard
+    raises :class:`~repro.errors.RetryBudgetError` at once.
+    ``shard_deadline`` (seconds,
     measured per dispatch round) marks shards still running past it as
     :class:`~repro.errors.ShardDeadlineError` candidates for retry.
     Between retry rounds the supervisor recycles the pool and sleeps
@@ -394,11 +366,6 @@ class RetryPolicy:
                 "backoff_base and backoff_cap must be >= 0, got "
                 f"{self.backoff_base!r} and {self.backoff_cap!r}"
             )
-
-    @property
-    def supervises(self) -> bool:
-        """Whether this policy requires the supervised dispatch path."""
-        return self.max_attempts > 1 or self.shard_deadline is not None
 
 
 #: Session-wide retry policy used when a call site passes ``policy=None``.
@@ -602,7 +569,7 @@ def _supervise(fn, tasks, *, policy: RetryPolicy, plan, base: int, provider,
 
     If the pool cannot be (re)created, the round's remaining shards
     finish serially in-process — same degradation, same one-time
-    warning, as the unsupervised paths.
+    warning, as a pool that fails to start.
     """
     results: list = [None] * len(tasks)
     attempts = [0] * len(tasks)
@@ -718,7 +685,7 @@ def _run_serial(fn, tasks, plan, base: int) -> list:
 
 
 def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = False,
-               policy: RetryPolicy | None = None, chunksize: int | None = None,
+               policy: RetryPolicy | None = None,
                collect_errors: bool = False) -> list:
     """Apply ``fn(*task)`` to every task, returning results in task order.
 
@@ -728,10 +695,6 @@ def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = Fals
     pool cannot be created — they run serially in-process.  Exceptions
     raised by ``fn`` propagate to the caller either way.
 
-    ``chunksize`` forces the unsupervised pool path's batching (the
-    supervised path always dispatches per task): heterogeneous task
-    lists — campaign cells of wildly different cost — want ``1`` so a
-    cheap task is never queued behind an expensive one.
     ``collect_errors=True`` makes supervised dispatch deliver a shard's
     :class:`~repro.errors.RetryBudgetError` *in its result slot* instead
     of raising, so one doomed task cannot abort its siblings; it only
@@ -748,9 +711,11 @@ def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = Fals
     Pool dispatch is supervised per the resolved :class:`RetryPolicy`
     (``policy=None`` means the session default): dead workers and blown
     shard deadlines cost a pool recycle and a retry of only the affected
-    shards, never the session.  When a :mod:`repro.faults` plan is
-    active, this call claims the next global shard indices and routes
-    dispatch through the fault wrapper so directives can fire.
+    shards, never the session.  Each task is dispatched on its own, so a
+    cheap task is never batched behind an expensive one.  When a
+    :mod:`repro.faults` plan is active, this call claims the next global
+    shard indices and routes dispatch through the fault wrapper so
+    directives can fire.
 
     Large arrays should not ride in the task tuples: publish them once
     through :class:`repro.trace.store.TraceStore` and pass the handle —
@@ -766,7 +731,6 @@ def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = Fals
     obs.count("executor.shards", len(tasks))
     if n_workers <= 1 or len(tasks) <= 1:
         return _run_serial(fn, tasks, plan, base)
-    supervised = pol.supervises or (plan is not None and plan.has_shard_faults())
     if not fresh_pool:
         from repro.parallel.runtime import PoolUnavailableError, active_runtime
 
@@ -778,7 +742,7 @@ def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = Fals
                 # the persistent pool past what it can use.
                 return runtime.starmap(
                     fn, tasks, workers=min(n_workers, len(tasks)),
-                    policy=pol, plan=plan, base=base, chunksize=chunksize,
+                    policy=pol, plan=plan, base=base,
                     collect_errors=collect_errors,
                 )
             except PoolUnavailableError as exc:
@@ -786,7 +750,7 @@ def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = Fals
                 return _run_serial(fn, tasks, plan, base)
     provider = _FreshPoolProvider(pool_start_method(), min(n_workers, len(tasks)))
     try:
-        pool = provider.pool()
+        provider.pool()
     except _POOL_CREATION_ERRORS as exc:
         # No working pool in this environment (missing semaphores, daemonic
         # parent, ...): degrade to the serial path, which is bit-for-bit
@@ -794,9 +758,7 @@ def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = Fals
         _warn_pool_failure(exc)
         return _run_serial(fn, tasks, plan, base)
     try:
-        if supervised:
-            return _supervise(fn, tasks, policy=pol, plan=plan, base=base,
-                              provider=provider, collect_errors=collect_errors)
-        return pool.starmap(fn, tasks, chunksize)
+        return _supervise(fn, tasks, policy=pol, plan=plan, base=base,
+                          provider=provider, collect_errors=collect_errors)
     finally:
         provider.close()

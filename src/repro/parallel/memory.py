@@ -5,7 +5,7 @@ the parallel entry points in :mod:`repro.parallel.ensembles`: it decides,
 per parallel region, whether a values array should cross the process
 boundary as a :class:`~repro.trace.store.TraceHandle` (published once,
 attached by every shard) or ride along as the plain array (serial runs,
-single-shard plans, sharing disabled, tiny arrays not worth a segment).
+single-shard plans, tiny arrays not worth a segment).
 
 Workers call :func:`repro.trace.store.resolve_values` on whatever they
 receive, so the dispatch mode is invisible to the computation — and to
@@ -18,7 +18,6 @@ import contextlib
 
 import numpy as np
 
-from repro.parallel.executor import sharing_enabled
 from repro.trace.store import TraceStore, resolve_values
 
 #: Arrays smaller than this are cheaper to pickle than to publish; the
@@ -32,16 +31,15 @@ def shared_values(values, *, workers: int, n_tasks: int = 2):
 
     Publishes the array into a :class:`TraceStore` — yielding its handle
     — when a real pool is coming (``workers > 1`` and more than one
-    task), sharing is enabled, and the array is big enough to matter;
-    otherwise yields the array itself.  The store is closed (and any
-    shared-memory segment unlinked) when the region exits, so handles
-    never outlive the dispatch they were minted for.
+    task) and the array is big enough to matter; otherwise yields the
+    array itself.  The store is closed (and any shared-memory segment
+    unlinked) when the region exits, so handles never outlive the
+    dispatch they were minted for.
     """
     values = resolve_values(values)
     if (
         workers <= 1
         or n_tasks <= 1
-        or not sharing_enabled()
         or not isinstance(values, np.ndarray)
         or values.nbytes < MIN_SHARED_BYTES
     ):

@@ -123,21 +123,20 @@ class PoolRuntime:
 
     # ------------------------------------------------------------- execution
     def starmap(self, fn, tasks, *, workers: int, policy=None, plan=None,
-                base: int = 0, chunksize: int | None = None,
-                collect_errors: bool = False) -> list:
+                base: int = 0, collect_errors: bool = False) -> list:
         """Run ``fn(*task)`` for every task on the persistent pool.
 
         Raises :class:`PoolUnavailableError` when no pool can be created
         (the executor then degrades to its serial path); exceptions from
         ``fn`` propagate unchanged and leave the pool usable.
 
-        Dispatch is supervised when the resolved ``policy`` (or an
-        active fault plan) asks for it: the executor's supervisor runs
-        under the runtime lock through a provider shim, so a worker
-        death or blown deadline recycles *this* pool in place —
-        ``forks`` counts the recovery — instead of poisoning the
-        session.  A :class:`~repro.errors.RetryBudgetError` likewise
-        leaves the runtime recycled and reusable.
+        Dispatch is supervised under the resolved ``policy``: the
+        executor's supervisor runs under the runtime lock through a
+        provider shim, so a worker death or blown deadline recycles
+        *this* pool in place — ``forks`` counts the recovery — instead
+        of poisoning the session.  A
+        :class:`~repro.errors.RetryBudgetError` likewise leaves the
+        runtime recycled and reusable.
         """
         workers = _validate_workers(workers)
         policy = resolve_retry_policy(policy)
@@ -145,17 +144,13 @@ class PoolRuntime:
             if self._closed:
                 raise PoolUnavailableError("pool runtime is closed")
             self._cancel_timer_locked()
-            pool = self._ensure_pool_locked(workers)
+            self._ensure_pool_locked(workers)
             try:
-                if policy.supervises or (
-                    plan is not None and plan.has_shard_faults()
-                ):
-                    provider = _RuntimePoolProvider(self, workers)
-                    return _supervise(
-                        fn, tasks, policy=policy, plan=plan, base=base,
-                        provider=provider, collect_errors=collect_errors,
-                    )
-                return pool.starmap(fn, tasks, chunksize)
+                return _supervise(
+                    fn, tasks, policy=policy, plan=plan, base=base,
+                    provider=_RuntimePoolProvider(self, workers),
+                    collect_errors=collect_errors,
+                )
             finally:
                 self._last_used = time.monotonic()
                 self._schedule_teardown_locked()

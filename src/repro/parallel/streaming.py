@@ -25,104 +25,29 @@ pipeline stages genuinely overlap.  The file-backed folds take a
 preserved exactly, so pipelining never changes a result.  For an
 in-memory series, :func:`parallel_chunk_tail_probabilities` shows the
 hybrid: chunk like a stream, reduce like a shard plan.
-
-The thread backend still shares the GIL with the fold for the decode's
-Python fraction.  ``prefetch_chunks(source, backend="process")`` moves
-the whole decode into a sidecar *process* instead: give it a
-re-iterable :class:`TraceChunkSource` (a path plus chunk size — the
-declarative form a child process can reopen) and upcoming chunks are
-block-decoded in the sidecar and shipped back through the TraceStore
-shm/inline backends.  The sidecar is supervised like any pool dispatch:
-a killed worker is relaunched from the last delivered chunk under the
-session :class:`~repro.parallel.executor.RetryPolicy` budget, and when
-fork (or process creation) is unavailable the stream degrades to the
-thread backend with a one-time warning — same chunks either way.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import queue as queue_module
-from multiprocessing import shared_memory
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
 
 import repro.obs as obs
-from repro.errors import (
-    ParameterError,
-    RetryBudgetError,
-    WorkerLostError,
-)
+from repro.errors import ParameterError
 from repro.parallel.ensembles import _tail_partial
-from repro.parallel.executor import (
-    _POLL_INTERVAL,
-    _POOL_CREATION_ERRORS,
-    RetryPolicy,
-    resolve_retry_policy,
-    resolve_workers,
-    run_shards,
-)
+from repro.parallel.executor import resolve_workers, run_shards
 from repro.parallel.memory import shared_values
 from repro.parallel.state import MomentState, TailHistogramState
 from repro.queueing.simulation import queue_occupancy
-from repro.trace.io import _CSV_DTYPE, DEFAULT_CHUNK_PACKETS, iter_trace_chunks
-from repro.trace.packet import PacketTrace
-from repro.trace.store import TraceStore
-from repro.utils.once import warn_once
-
-#: Backends accepted by :func:`prefetch_chunks` / ``REPRO_PREFETCH``.
-_PREFETCH_BACKENDS = ("thread", "process")
+from repro.trace.io import DEFAULT_CHUNK_PACKETS, iter_trace_chunks
+from repro.utils.validation import require_int_at_least
 
 
-def prefetch_backend_from_env() -> str:
-    """The session's default prefetch backend (``REPRO_PREFETCH``).
-
-    ``thread`` (the default) double-buffers on a reader thread;
-    ``process`` decodes in a sidecar process.  Like ``REPRO_WORKERS``,
-    the variable is read lazily at each call and never changes results.
-    """
-    raw = os.environ.get("REPRO_PREFETCH")
-    if raw is None:
-        return "thread"
-    value = raw.strip().lower()
-    if value in _PREFETCH_BACKENDS:
-        return value
-    raise ParameterError(
-        f"REPRO_PREFETCH must be one of {_PREFETCH_BACKENDS}, got {raw!r}"
-    )
-
-
-@dataclass(frozen=True)
-class TraceChunkSource:
-    """A declarative, re-iterable chunk stream: trace path + chunk size.
-
-    Iterating one is exactly ``iter_trace_chunks(path, chunk_size=...)``,
-    but unlike a generator it pickles (a path and an int cross the
-    process boundary, never chunk data) and restarts from the top — the
-    two properties process prefetch needs to decode in a sidecar and to
-    relaunch it mid-stream after a worker loss.
-    """
-
-    path: str
-    chunk_size: int = DEFAULT_CHUNK_PACKETS
-
-    def __iter__(self) -> Iterator[PacketTrace]:
-        return iter_trace_chunks(self.path, chunk_size=self.chunk_size)
-
-
-def prefetch_chunks(
-    chunks: Iterable,
-    *,
-    depth: int = 2,
-    backend: str = "thread",
-    policy: RetryPolicy | None = None,
-) -> Iterator:
+def prefetch_chunks(chunks: Iterable, *, depth: int = 2) -> Iterator:
     """Yield ``chunks`` unchanged while reading ahead in the background.
 
     Double-buffered ingest: a background reader pulls up to ``depth``
@@ -132,30 +57,10 @@ def prefetch_chunks(
     by the source re-raises at the consumer in its place, so wrapping a
     fold in ``prefetch_chunks`` can never change its result — only its
     wall-clock.  If the consumer stops early, the reader is told to stop
-    and the remaining chunks are never pulled.
-
-    ``backend="thread"`` (default) reads ahead on a daemon thread and
-    accepts any iterable.  ``backend="process"`` decodes ahead in a
-    sidecar process — GIL-free overlap — and requires a re-iterable
-    :class:`TraceChunkSource`; the sidecar is supervised under
-    ``policy`` (default: the session retry policy), and falls back to
-    the thread backend, one-time warning included, where processes are
-    unavailable.
+    and the remaining chunks are never pulled.  The reader is a daemon
+    thread, and any iterable will do.
     """
-    if depth < 1:
-        raise ParameterError(f"depth must be >= 1, got {depth}")
-    if backend not in _PREFETCH_BACKENDS:
-        raise ParameterError(
-            f"backend must be one of {_PREFETCH_BACKENDS}, got {backend!r}"
-        )
-    if backend == "process":
-        if not isinstance(chunks, TraceChunkSource):
-            raise ParameterError(
-                "process prefetch needs a re-iterable TraceChunkSource "
-                f"(a killed sidecar must restart the stream), got "
-                f"{type(chunks).__name__}"
-            )
-        return _process_prefetch(chunks, depth, policy)
+    depth = require_int_at_least("depth", depth, 1)
     return _thread_prefetch(chunks, depth)
 
 
@@ -215,288 +120,9 @@ def _thread_prefetch(chunks: Iterable, depth: int) -> Iterator:
         stop.set()
 
 
-# ------------------------------------------------------- process prefetch
-#: Wire format for a shipped chunk: the CSV column dtype (``u4`` sizes,
-#: so any decodable chunk round-trips), packed and viewed as raw bytes —
-#: TraceHandle carries plain-dtype geometry only.
-_SHIP_DTYPE = _CSV_DTYPE
-
-#: ``warn_once`` key for the process-prefetch degradation diagnostic.
-PROCESS_FALLBACK_KEY = "prefetch.process-fallback"
-
-
-def _warn_process_fallback(reason: str) -> None:
-    """One-time diagnostic naming why prefetch degraded to a thread."""
-    warn_once(
-        PROCESS_FALLBACK_KEY,
-        f"repro.parallel: process prefetch unavailable ({reason}); "
-        "falling back to the thread backend (identical chunks, shared "
-        "GIL)",
-        stacklevel=4,
-    )
-
-
-def _pack_chunk(chunk: PacketTrace) -> np.ndarray:
-    """Pack a chunk into one contiguous byte array for shipping."""
-    records = np.empty(len(chunk), dtype=_SHIP_DTYPE)
-    records["timestamp"] = chunk.timestamps
-    records["src"] = chunk.sources
-    records["dst"] = chunk.destinations
-    records["size"] = chunk.sizes
-    records["proto"] = chunk.protocols
-    return records.view(np.uint8)
-
-
-def _unpack_chunk(handle) -> PacketTrace:
-    """Rebuild a chunk from a shipped handle (columns copied out).
-
-    Copies are mandatory: the shm segment is acknowledged — and
-    unlinked by the sidecar — as soon as this returns, so no view of
-    its buffer may outlive the call.
-    """
-    records = handle.values().view(_SHIP_DTYPE)
-    return PacketTrace(
-        records["timestamp"].copy(),
-        records["src"].copy(),
-        records["dst"].copy(),
-        records["size"].copy(),
-        records["proto"].copy(),
-    )
-
-
-def _prefetch_worker(source, data_queue, ack_queue, skip: int) -> None:
-    """Sidecar body: decode chunks, publish, ship handles, await acks.
-
-    Runs in the child process.  Chunks numbered below ``skip`` are
-    decoded and dropped (a relaunch resumes after the last chunk the
-    parent delivered).  Each shipped segment is held open until the
-    parent acknowledges its copy; a ``"stop"`` acknowledgement (or the
-    parent vanishing) abandons the stream.
-    """
-    pending: dict[int, TraceStore] = {}
-    stopped = False
-
-    def _drain_acks(block: bool = False) -> None:
-        nonlocal stopped
-        while True:
-            try:
-                message = ack_queue.get(block=block, timeout=0.05 if block else None)
-            except queue_module.Empty:
-                return
-            if message == "stop":
-                stopped = True
-                return
-            store = pending.pop(message, None)
-            if store is not None:
-                store.close()
-            block = False
-
-    def _ship(item) -> bool:
-        # Bounded-blocking put that still honours a consumer bail-out —
-        # the process twin of the thread backend's ``_put``.
-        while not stopped:
-            try:
-                data_queue.put(item, timeout=0.05)
-                return True
-            except queue_module.Full:
-                _drain_acks()
-        return False
-
-    try:
-        count = 0
-        for seq, chunk in enumerate(source):
-            count = seq + 1
-            if seq < skip:
-                continue
-            _drain_acks()
-            if stopped:
-                return
-            store = TraceStore.publish(_pack_chunk(chunk), backend="shm")
-            # Keep tracker ops protocol-ordered (publish < untrack <
-            # ship < parent attach < ack < close) so register/unregister
-            # pairs never cross between processes — see
-            # TraceStore.untrack.
-            store.untrack()
-            pending[seq] = store
-            if not _ship(("chunk", seq, store.handle)):
-                return
-        _ship(("done", count, None))
-    except BaseException as exc:  # noqa: BLE001 — re-raised by consumer
-        try:
-            data_queue.put(("error", -1, exc), timeout=1.0)
-        except queue_module.Full:
-            pass
-    finally:
-        deadline = time.monotonic() + 5.0
-        while pending and not stopped and time.monotonic() < deadline:
-            _drain_acks(block=True)
-        for store in pending.values():
-            store.close()
-
-
-def _unlink_ref(name: str) -> None:
-    """Best-effort unlink of a possibly-already-closed shm segment."""
-    try:
-        segment = shared_memory.SharedMemory(name=name)
-    except (FileNotFoundError, OSError, ValueError):
-        return
-    try:
-        segment.close()
-        segment.unlink()
-    except (FileNotFoundError, OSError):
-        pass
-
-
-def _sweep_dead_sidecar(data_queue, recent_acks) -> None:
-    """Unlink the segments a dead sidecar will never close.
-
-    Only safe once the sidecar is confirmed dead: while it lives it
-    owns every unlink (a second unlinker would unbalance the
-    resource-tracker pairing ``TraceStore.untrack`` maintains).  Two
-    populations are reachable from the parent — chunks shipped but
-    never delivered (drained off the data queue here) and recently
-    acknowledged chunks whose close raced the kill (``recent_acks``;
-    already-closed names no-op).  A segment published but not yet
-    shipped at the moment of the kill is the one loss nobody can name.
-    """
-    while True:
-        try:
-            kind, _seq, payload = data_queue.get_nowait()
-        except (queue_module.Empty, OSError, ValueError):
-            break
-        if kind == "chunk" and payload.kind == "shm":
-            _unlink_ref(payload.ref)
-    for name in recent_acks:
-        _unlink_ref(name)
-    recent_acks.clear()
-
-
-def _stop_sidecar(child, data_queue, ack_queue) -> None:
-    """Tear a sidecar down without ever hanging the consumer."""
-    try:
-        ack_queue.put("stop", timeout=0.2)
-    except queue_module.Full:
-        pass
-    child.join(timeout=1.0)
-    if child.is_alive():
-        child.terminate()
-        child.join(timeout=1.0)
-    for q in (data_queue, ack_queue):
-        q.cancel_join_thread()
-        q.close()
-
-
-def _process_prefetch(
-    source: TraceChunkSource, depth: int, policy: RetryPolicy | None
-) -> Iterator[PacketTrace]:
-    """Decode-ahead in a supervised sidecar process.
-
-    The sidecar streams ``source`` and ships each decoded chunk through
-    a TraceStore shm segment (inline when shm is unavailable); the
-    parent copies the columns out, acknowledges, and yields.  Delivery
-    order and values are exactly the source's.  If the sidecar dies
-    mid-stream, it is relaunched skipping every chunk already delivered
-    — attempt accounting, backoff, and the budget-exhausted error all
-    follow the supervised-dispatch ``RetryPolicy`` contract.  No fork
-    (or a failed process launch) degrades to the thread backend with a
-    one-time warning.
-    """
-    policy = resolve_retry_policy(policy)
-    if "fork" not in multiprocessing.get_all_start_methods():
-        _warn_process_fallback("no fork start method on this platform")
-        yield from _thread_prefetch(source, depth)
-        return
-    col = obs.current_collector()
-    if col is not None:
-        col.gauge_max("prefetch.depth", depth)
-    ctx = multiprocessing.get_context("fork")
-    delivered = 0
-    attempt = 1
-    while True:
-        data_queue = ctx.Queue(maxsize=depth)
-        ack_queue = ctx.Queue()
-        child = ctx.Process(
-            target=_prefetch_worker,
-            args=(source, data_queue, ack_queue, delivered),
-            name="repro-chunk-prefetch",
-            daemon=True,
-        )
-        try:
-            child.start()
-        except _POOL_CREATION_ERRORS as exc:
-            _warn_process_fallback(f"{type(exc).__name__}: {exc}")
-            yield from _skip_chunks(_thread_prefetch(source, depth), delivered)
-            return
-        worker_lost = None
-        recent_acks: deque = deque(maxlen=depth + 2)
-        waited = 0.0
-        try:
-            while True:
-                try:
-                    kind, seq, payload = data_queue.get(timeout=_POLL_INTERVAL)
-                except queue_module.Empty:
-                    waited += _POLL_INTERVAL
-                    if not child.is_alive():
-                        _sweep_dead_sidecar(data_queue, recent_acks)
-                        worker_lost = WorkerLostError(
-                            f"prefetch sidecar (pid {child.pid}) died with "
-                            f"exit code {child.exitcode} after chunk "
-                            f"{delivered - 1} (attempt {attempt})"
-                        )
-                        if col is not None:
-                            col.event("prefetch.worker_lost", attempt=attempt,
-                                      delivered=delivered)
-                            col.count("prefetch.worker_losses")
-                        break
-                    continue
-                if kind == "chunk":
-                    chunk = _unpack_chunk(payload)
-                    ack_queue.put(seq)
-                    if payload.kind == "shm":
-                        recent_acks.append(payload.ref)
-                    if col is not None:
-                        col.count("prefetch.chunks")
-                        if waited >= _POLL_INTERVAL:
-                            col.count("prefetch.stalls")
-                            col.count("prefetch.stall_s", round(waited, 6))
-                        if payload.kind == "shm":
-                            col.count("shm.bytes_shipped",
-                                      len(chunk) * _SHIP_DTYPE.itemsize)
-                    waited = 0.0
-                    delivered = seq + 1
-                    yield chunk
-                elif kind == "done":
-                    return
-                else:
-                    raise payload
-        finally:
-            _stop_sidecar(child, data_queue, ack_queue)
-        # Re-launch (worker loss is the only way here): same stream,
-        # skipping every chunk the consumer already has.
-        if attempt >= policy.max_attempts:
-            raise RetryBudgetError(
-                f"prefetch sidecar still dying after {policy.max_attempts} "
-                f"attempt(s): {worker_lost}"
-            ) from worker_lost
-        time.sleep(min(policy.backoff_base * 2 ** (attempt - 1),
-                       policy.backoff_cap))
-        attempt += 1
-        if col is not None:
-            col.event("prefetch.sidecar_relaunch", attempt=attempt,
-                      skip=delivered)
-
-
-def _skip_chunks(chunks: Iterable, skip: int) -> Iterator:
-    """Drop the first ``skip`` chunks (mid-stream backend fallback)."""
-    for seq, chunk in enumerate(chunks):
-        if seq >= skip:
-            yield chunk
-
-
 def chunked(values, chunk_size: int) -> Iterator[np.ndarray]:
     """Yield contiguous views of a 1-D array, ``chunk_size`` items each."""
-    if chunk_size < 1:
-        raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
+    chunk_size = require_int_at_least("chunk_size", chunk_size, 1)
     arr = np.asarray(values)
     for start in range(0, arr.size, chunk_size):
         yield arr[start : start + chunk_size]
@@ -564,33 +190,20 @@ def streamed_trace_size_moments(
     *,
     chunk_size: int = DEFAULT_CHUNK_PACKETS,
     pipelined: bool = True,
-    backend: str | None = None,
 ) -> MomentState:
     """Packet-size moments of a trace file, read in bounded-memory chunks.
 
     With ``pipelined`` (the default), the chunked file read is
-    double-buffered against the moment fold — chunk N+1 is parsed while
-    chunk N reduces, with bit-identical results (the fold order never
-    changes).  ``backend`` picks the read-ahead mechanism per
-    :func:`prefetch_chunks` (``None`` consults ``REPRO_PREFETCH``);
-    with ``"process"`` the whole CSV/binary decode happens in the
-    sidecar and only packed columns cross back.
+    double-buffered against the moment fold through
+    :func:`prefetch_chunks` — chunk N+1 is parsed while chunk N reduces,
+    with bit-identical results (the fold order never changes).
     """
-    if backend is None:
-        backend = prefetch_backend_from_env()
-    with obs.span("ingest.stream", path=str(path), backend=backend,
-                  pipelined=pipelined):
-        if pipelined and backend == "process":
-            trace_chunks: Iterable = prefetch_chunks(
-                TraceChunkSource(str(path), chunk_size=chunk_size),
-                backend="process",
-            )
-        else:
-            trace_chunks = iter_trace_chunks(path, chunk_size=chunk_size)
+    with obs.span("ingest.stream", path=str(path), pipelined=pipelined):
         chunks: Iterable = (
-            chunk.sizes.astype(np.float64) for chunk in trace_chunks
+            chunk.sizes.astype(np.float64)
+            for chunk in iter_trace_chunks(path, chunk_size=chunk_size)
         )
-        if pipelined and backend == "thread":
+        if pipelined:
             chunks = prefetch_chunks(chunks)
         return streamed_moments(chunks)
 
@@ -607,8 +220,7 @@ def parallel_chunk_tail_probabilities(
     The series is published once and each task carries a chunk's
     ``[start, stop)`` range, not a slice copy.
     """
-    if chunk_size < 1:
-        raise ParameterError(f"chunk_size must be >= 1, got {chunk_size}")
+    chunk_size = require_int_at_least("chunk_size", chunk_size, 1)
     thresholds = np.asarray(thresholds, dtype=np.float64)
     arr = np.asarray(values)
     if arr.size == 0:

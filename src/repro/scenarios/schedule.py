@@ -16,9 +16,8 @@ shards the campaign's pending-cell list across the pool the way
 * **Cost model** — :func:`cell_cost` estimates each cell's work from
   trace length × ensemble size (plus estimator/confidence/queue terms),
   and :func:`cell_costs` normalises the estimates into the integer
-  weights :class:`~repro.parallel.plan.JointPlan` consumes — the same
-  floor-normalisation its ``cost_model="measured"`` machinery uses — so
-  one giant cell cannot serialise the tail of the campaign.
+  weights :class:`~repro.parallel.plan.JointPlan` consumes, so one giant
+  cell cannot serialise the tail of the campaign.
 * **Rounds** — the pending list is cut into contiguous, cost-balanced
   rounds on ``JointPlan``'s cumulative cost line.  Rounds bound the
   commit lag: the parent buffers one round's out-of-order completions,
@@ -93,10 +92,9 @@ def cell_cost(cell: Cell) -> int:
 def cell_costs(cells) -> list[int]:
     """Integer cost weights for ``cells``, cheapest cell normalised to 1.
 
-    The same normalisation ``JointPlan``'s measured cost model applies
-    to per-scale timings: divide by the floor and round, clamping at 1,
-    so the weights stay small integers and the cumulative cost line
-    cannot overflow or degenerate.
+    Divide by the floor and round, clamping at 1, so the weights stay
+    small integers and ``JointPlan``'s cumulative cost line cannot
+    overflow or degenerate.
     """
     raw = [cell_cost(cell) for cell in cells]
     if not raw:
@@ -224,9 +222,9 @@ def iter_cell_results(schedule: CellSchedule, cells, *, campaign: str,
     """Run a cells-mode schedule, yielding ``(cell, outcome)`` in
     canonical order.
 
-    Each round is dispatched through :func:`run_shards` —
-    ``chunksize=1`` so heterogeneous cells are never queued behind each
-    other, ``collect_errors=True`` so one budget-exhausted cell cannot
+    Each round is dispatched through :func:`run_shards` — one task per
+    cell, so heterogeneous cells are never batched behind each other,
+    and ``collect_errors=True`` so one budget-exhausted cell cannot
     abort its round — and the round's completions are buffered and
     re-ordered before anything is yielded.  The caller (the campaign's
     sole store writer) therefore appends records in exactly the order
@@ -248,9 +246,7 @@ def iter_cell_results(schedule: CellSchedule, cells, *, campaign: str,
         with obs.span("schedule.round", index=round_no,
                       n_cells=len(round_indices)):
             started = time.monotonic()
-            outcomes = run_shards(
-                _cell_worker, tasks, chunksize=1, collect_errors=True
-            )
+            outcomes = run_shards(_cell_worker, tasks, collect_errors=True)
             wall = time.monotonic() - started
             outcomes, busy = zip(*(_drain_outcome(o) for o in outcomes))
             _record_round(round_no, round_indices, wall, sum(busy))

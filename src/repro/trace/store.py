@@ -115,21 +115,6 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         return segment
 
 
-def _tracker_call(op: str, name: str) -> None:
-    """Best-effort resource-tracker ``register``/``unregister``.
-
-    Tracker bookkeeping is noise control, never correctness: segment
-    lifetime is owned by explicit ``close`` calls, the tracker only
-    sweeps leftovers after crashes.  So any tracker failure is ignored.
-    """
-    try:
-        from multiprocessing import resource_tracker
-
-        getattr(resource_tracker, op)(name, "shared_memory")
-    except Exception:
-        pass
-
-
 def _next_token() -> str:
     """Registry key unique within this process (and, via the pid, across
     forks that publish after the fork)."""
@@ -207,7 +192,7 @@ def resolve_values(ref) -> np.ndarray:
     """Worker-side entry point: handle, array, or RateProcess -> array.
 
     Shard workers accept either a :class:`TraceHandle` (the zero-copy
-    protocol) or a plain array (serial path / sharing disabled), so the
+    protocol) or a plain array (serial path, small arrays), so the
     same worker function serves both dispatch modes.
     """
     if isinstance(ref, TraceHandle):
@@ -231,7 +216,6 @@ class TraceStore:
         self._handle = handle
         self._segment = segment
         self._token = token
-        self._untracked = False
         self._values = handle.values()
 
     # ------------------------------------------------------------ creation
@@ -340,28 +324,6 @@ class TraceStore:
     def process(self, *, bin_width: float = 1.0, unit: str = "units/bin") -> RateProcess:
         return RateProcess(self._values, bin_width=bin_width, unit=unit)
 
-    def untrack(self) -> None:
-        """Drop this segment's resource-tracker registration (no-op for
-        segment-less backends).
-
-        For segments whose lifetime is coordinated explicitly across a
-        process pair — the prefetch sidecar publishes, the parent copies
-        and acknowledges, the sidecar closes.  Pre-3.13 ``SharedMemory``
-        registers every *create and attach* with a fork-shared tracker
-        whose cache is a set, so the duplicate registrations collapse
-        and one unregister per segment goes unmatched — a cosmetic but
-        noisy ``KeyError`` traceback in the tracker process.
-        ``untrack`` right after publish keeps every tracker operation
-        protocol-ordered and paired (:meth:`close` re-registers just
-        before unlink to balance unlink's unconditional unregister).
-        The cost: a sidecar killed before closing may leak its untracked
-        in-flight segments (bounded by the prefetch depth) until the
-        host clears ``/dev/shm``.
-        """
-        if self._segment is not None and not self._untracked:
-            self._untracked = True
-            _tracker_call("unregister", self._segment._name)
-
     # ------------------------------------------------------------- lifetime
     def close(self) -> None:
         """Release the published buffer (idempotent).
@@ -375,11 +337,6 @@ class TraceStore:
             _PUBLISHED.pop(self._token, None)
             self._token = None
         if self._segment is not None:
-            if self._untracked:
-                # unlink() unregisters unconditionally; restore the
-                # registration first so the pair stays balanced.
-                self._untracked = False
-                _tracker_call("register", self._segment._name)
             # Drop our own buffer view first, or it would block
             # segment.close() (BufferError) and the mapping would persist
             # for the process lifetime on platforms where unlink alone

@@ -28,8 +28,14 @@ def require_probability(name: str, value: float, *, allow_zero: bool = False) ->
 
 
 def require_int_at_least(name: str, value: int, minimum: int) -> int:
-    """Return ``value`` as int if it is an integer >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int,)):
+    """Return ``value`` as int if it is an integer >= ``minimum``.
+
+    Integral floats (``5.0``) pass; bools do not, though Python counts
+    them as ints — ``True`` is never meant as a count.
+    """
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if not isinstance(value, int):
         try:
             as_int = int(value)
         except (TypeError, ValueError):

@@ -38,14 +38,6 @@ class TestHarness:
         with pytest.raises(ParameterError):
             run_experiment("fig99")
 
-    @pytest.mark.parametrize("bad", [2.5, 0, -1, "4", True])
-    def test_bench_rejects_invalid_workers(self, bad):
-        """Same strict contract as every other parallel entry point."""
-        from repro.experiments.bench import run_benchmarks
-
-        with pytest.raises(ParameterError, match="workers"):
-            run_benchmarks(quick=True, workers=bad)
-
     def test_every_panel_renders(self, results):
         for panel in results.values():
             text = panel.render()

@@ -357,6 +357,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "telemetry:          on [env]" in out
         assert "[default]" in out  # untouched knobs say so
+        # Exactly these knobs: a retired one must not come back unnoticed.
+        knobs = [line.split(":", 1)[0] for line in out.splitlines()]
+        assert knobs == [
+            "cpu_count", "suggested_workers", "pool_start_method",
+            "default_workers", "runtime_mode", "schedule", "telemetry",
+        ]
 
     def test_scenarios_report_json(self, capsys, tmp_path, mini_scenario):
         from repro.experiments.__main__ import main

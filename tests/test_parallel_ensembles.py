@@ -95,13 +95,15 @@ class TestEnsembleDeterminism:
 
 
 class TestEstimatorDeterminism:
-    def test_rs_statistics(self, trace):
+    """Sharded estimators match the sequential path; an odd shard count
+    (3) cuts the joint cost line at uneven row boundaries."""
+
+    @pytest.mark.parametrize("workers", [1, 3, 4])
+    def test_rs_statistics(self, trace, workers):
         sizes = default_window_sizes(N)
         sequential = rs_statistics(trace.values, sizes)
-        one = parallel_rs_statistics(trace.values, sizes, workers=1)
-        four = parallel_rs_statistics(trace.values, sizes, workers=4)
-        np.testing.assert_allclose(one, four, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sequential, four, rtol=1e-12, atol=1e-12)
+        sharded = parallel_rs_statistics(trace.values, sizes, workers=workers)
+        np.testing.assert_allclose(sequential, sharded, rtol=1e-12, atol=1e-12)
 
     def test_rs_degenerate_sizes_nan(self, trace):
         sizes = np.array([1, N * 2, 64])
@@ -112,13 +114,14 @@ class TestEstimatorDeterminism:
             sequential[2], parallel[2], rtol=1e-12, atol=1e-12
         )
 
-    def test_aggregate_variances(self, trace):
+    @pytest.mark.parametrize("workers", [1, 3, 4])
+    def test_aggregate_variances(self, trace, workers):
         sizes = np.unique(np.geomspace(2, N // 8, 8).astype(np.int64))
         sequential = aggregate_variances(trace.values, sizes)
-        one = parallel_aggregate_variances(trace.values, sizes, workers=1)
-        four = parallel_aggregate_variances(trace.values, sizes, workers=4)
-        np.testing.assert_allclose(one, four, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sequential, four, rtol=1e-12, atol=1e-12)
+        sharded = parallel_aggregate_variances(
+            trace.values, sizes, workers=workers
+        )
+        np.testing.assert_allclose(sequential, sharded, rtol=1e-12, atol=1e-12)
 
     def test_aggregate_variances_oversized_block_rejected(self, trace):
         with pytest.raises(ParameterError, match="no complete block"):
@@ -132,55 +135,18 @@ class TestEstimatorDeterminism:
             with pytest.raises(ParameterError, match="block must be >= 1"):
                 parallel_aggregate_variances(trace.values, [bad], workers=4)
 
-    def test_dfa_fluctuations(self, trace):
+    @pytest.mark.parametrize("workers", [1, 3, 4])
+    def test_dfa_fluctuations(self, trace, workers):
         sizes = default_window_sizes(N)
         sequential = dfa_fluctuations(trace.values, sizes)
-        one = parallel_dfa_fluctuations(trace.values, sizes, workers=1)
-        four = parallel_dfa_fluctuations(trace.values, sizes, workers=4)
-        np.testing.assert_allclose(one, four, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(sequential, four, rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("workers", [1, 3, 4])
-    def test_joint_and_per_scale_layouts_agree(self, trace, workers):
-        """The joint (scale x window) plan only regroups the reduction."""
-        sizes = default_window_sizes(N)
-        bsizes = np.unique(np.geomspace(2, N // 8, 8).astype(np.int64))
-        for joint, per_scale in (
-            (
-                parallel_rs_statistics(
-                    trace.values, sizes, workers=workers, layout="joint"),
-                parallel_rs_statistics(
-                    trace.values, sizes, workers=workers, layout="per-scale"),
-            ),
-            (
-                parallel_aggregate_variances(
-                    trace.values, bsizes, workers=workers, layout="joint"),
-                parallel_aggregate_variances(
-                    trace.values, bsizes, workers=workers, layout="per-scale"),
-            ),
-            (
-                parallel_dfa_fluctuations(
-                    trace.values, sizes, workers=workers, layout="joint"),
-                parallel_dfa_fluctuations(
-                    trace.values, sizes, workers=workers, layout="per-scale"),
-            ),
-        ):
-            np.testing.assert_allclose(joint, per_scale, rtol=1e-12, atol=1e-12)
+        sharded = parallel_dfa_fluctuations(trace.values, sizes, workers=workers)
+        np.testing.assert_allclose(sequential, sharded, rtol=1e-12, atol=1e-12)
 
     def test_all_degenerate_sizes_all_nan(self, trace):
         sizes = np.array([1, N * 2])
         sequential = rs_statistics(trace.values, sizes)
         parallel = parallel_rs_statistics(trace.values, sizes, workers=4)
         assert np.isnan(sequential).all() and np.isnan(parallel).all()
-
-    def test_unknown_layout_rejected(self, trace):
-        sizes = default_window_sizes(N)
-        with pytest.raises(ParameterError, match="layout"):
-            parallel_rs_statistics(trace.values, sizes, layout="diagonal")
-        with pytest.raises(ParameterError, match="layout"):
-            parallel_aggregate_variances(trace.values, [4], layout="rows")
-        with pytest.raises(ParameterError, match="layout"):
-            parallel_dfa_fluctuations(trace.values, sizes, layout="")
 
     def test_tail_probabilities_exact(self, trace):
         arrivals = trace.values - trace.values.min() + 0.1
@@ -269,79 +235,4 @@ class TestExperimentWorkersWiring:
             for name in a.series:
                 np.testing.assert_array_equal(
                     np.asarray(a.series[name]), np.asarray(b.series[name])
-                )
-
-
-class TestJointCostModel:
-    """The joint layout's cost line: static control vs measured/explicit."""
-
-    def test_measured_matches_static_results(self, trace):
-        sizes = default_window_sizes(N)
-        static = parallel_rs_statistics(
-            trace.values, sizes, workers=4, cost_model="static"
-        )
-        measured = parallel_rs_statistics(
-            trace.values, sizes, workers=4, cost_model="measured"
-        )
-        np.testing.assert_allclose(static, measured, rtol=1e-12, atol=1e-12)
-
-    def test_explicit_weights_match_static_results(self, trace):
-        sizes = np.unique(np.geomspace(2, N // 8, 8).astype(np.int64))
-        static = parallel_aggregate_variances(trace.values, sizes, workers=4)
-        # A deliberately lopsided (but valid) replayed probe: the partition
-        # changes, the merged reduction must not.
-        weights = [1 + 7 * i for i in range(sizes.size)]
-        weighted = parallel_aggregate_variances(
-            trace.values, sizes, workers=4, cost_model=weights
-        )
-        np.testing.assert_allclose(static, weighted, rtol=1e-12, atol=1e-12)
-
-    def test_measured_dfa(self, trace):
-        sizes = default_window_sizes(N)
-        static = parallel_dfa_fluctuations(trace.values, sizes, workers=3)
-        measured = parallel_dfa_fluctuations(
-            trace.values, sizes, workers=3, cost_model="measured"
-        )
-        np.testing.assert_allclose(static, measured, rtol=1e-12, atol=1e-12)
-
-    def test_unknown_cost_model_rejected(self, trace):
-        sizes = default_window_sizes(N)
-        with pytest.raises(ParameterError, match="cost_model"):
-            parallel_rs_statistics(trace.values, sizes, cost_model="guess")
-        with pytest.raises(ParameterError, match="cost_model"):
-            parallel_rs_statistics(
-                trace.values, sizes, layout="per-scale", cost_model="guess"
-            )
-
-    def test_per_scale_layout_rejects_non_static_models(self, trace):
-        """A measured/explicit cost line has nowhere to apply in the
-        per-scale layout; discarding it silently would hide that."""
-        sizes = default_window_sizes(N)
-        with pytest.raises(ParameterError, match="layout='joint'"):
-            parallel_rs_statistics(
-                trace.values, sizes, layout="per-scale", cost_model="measured"
-            )
-        with pytest.raises(ParameterError, match="layout='joint'"):
-            parallel_aggregate_variances(
-                trace.values, [2, 4], layout="per-scale",
-                cost_model=[1, 2],
-            )
-
-    def test_wrong_weight_count_rejected(self, trace):
-        sizes = default_window_sizes(N)
-        with pytest.raises(ParameterError, match="weights"):
-            parallel_rs_statistics(trace.values, sizes, cost_model=[1, 2])
-
-    def test_non_sequence_cost_model_rejected(self, trace):
-        sizes = default_window_sizes(N)
-        with pytest.raises(ParameterError, match="cost_model"):
-            parallel_rs_statistics(trace.values, sizes, cost_model=3)
-
-    def test_non_integer_weights_rejected(self, trace):
-        sizes = default_window_sizes(N)
-        for bad in ("x", 1.9, True):
-            with pytest.raises(ParameterError, match="integers"):
-                parallel_rs_statistics(
-                    trace.values, sizes,
-                    cost_model=[bad] * sizes.size,
                 )

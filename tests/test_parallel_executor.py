@@ -15,8 +15,6 @@ from repro.parallel import (
     resolve_workers,
     run_shards,
     set_default_workers,
-    sharing_enabled,
-    trace_sharing,
 )
 
 
@@ -110,20 +108,6 @@ class TestLoudSerialFallback:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_shards(_double, [(5,)], workers=4) == [10]
-
-
-class TestSharingToggle:
-    def test_default_on_and_restored(self):
-        assert sharing_enabled()
-        with trace_sharing(False):
-            assert not sharing_enabled()
-        assert sharing_enabled()
-
-    def test_restored_on_error(self):
-        with pytest.raises(RuntimeError):
-            with trace_sharing(False):
-                raise RuntimeError("boom")
-        assert sharing_enabled()
 
 
 def test_pool_start_method_is_real():

@@ -5,9 +5,9 @@ persistent): a killed worker loses only its own shards and the retry is
 bit-identical; a shard that blows its deadline is re-dispatched; an
 exhausted budget raises :class:`RetryBudgetError` *and leaves the
 session usable* (the pool is recycled, not poisoned); a worker
-exception still propagates unchanged; and ``max_attempts=1`` restores
-the plain ``starmap`` fast path so the bench control measures real
-dispatch, not supervision.
+exception still propagates unchanged; and dispatch under
+``max_attempts=1`` is supervised too, so a dead worker fails the call
+instead of hanging it.
 
 Timing discipline: injected delays are the only sleeps, deadlines are
 an order of magnitude above poll granularity, and no assertion depends
@@ -16,7 +16,11 @@ on wall-clock beyond "the 5 s hang did not happen".
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,34 @@ def _boom(x):
     raise ValueError(f"worker exploded on {x}")
 
 
+#: Four shards at workers=2 with shard 1 SIGKILLing its worker once (a
+#: marker file makes the kill one-shot): ``max_attempts=1`` must raise,
+#: and a second attempt must recover the exact result.
+SINGLE_ATTEMPT_SNIPPET = """
+import os, signal, sys
+from repro.errors import RetryBudgetError
+from repro.parallel import RetryPolicy, run_shards
+
+MARKER = sys.argv[1]
+
+def square_killing_shard_one_once(x):
+    if x == 1 and not os.path.exists(MARKER):
+        open(MARKER, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+tasks = [(i,) for i in range(4)]
+try:
+    run_shards(square_killing_shard_one_once, tasks, workers=2,
+               policy=RetryPolicy(max_attempts=1))
+except RetryBudgetError:
+    print("RetryBudgetError")
+os.remove(MARKER)
+print(run_shards(square_killing_shard_one_once, tasks, workers=2,
+                 policy=RetryPolicy(max_attempts=2, backoff_base=0.01)))
+"""
+
+
 @pytest.fixture(autouse=True)
 def _clean_fault_state(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
@@ -65,11 +97,7 @@ class TestRetryPolicy:
     def test_defaults_supervise(self):
         pol = RetryPolicy()
         assert pol.max_attempts == 3
-        assert pol.supervises
-
-    def test_single_attempt_without_deadline_does_not_supervise(self):
-        assert not RetryPolicy(max_attempts=1).supervises
-        assert RetryPolicy(max_attempts=1, shard_deadline=2.0).supervises
+        assert pol.shard_deadline is None
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"max_attempts": 0}, "max_attempts"),
@@ -152,18 +180,26 @@ class TestFreshPoolRecovery:
         assert got == [0, 1, 4]
         assert time.monotonic() - start >= 0.05
 
-    def test_plain_fast_path_skips_supervision(self, monkeypatch):
-        def _no_supervision(*args, **kwargs):
-            raise AssertionError("max_attempts=1 must use plain starmap")
-
-        monkeypatch.setattr(executor, "_supervise", _no_supervision)
-        got = run_shards(_square, [(i,) for i in range(4)], workers=2,
-                         fresh_pool=True, policy=RetryPolicy(max_attempts=1))
-        assert got == [0, 1, 4, 9]
+    def test_single_attempt_worker_death_raises(self, tmp_path):
+        """A worker SIGKILLed under a one-attempt budget fails the call
+        with RetryBudgetError in seconds; it must never hang.  Run in a
+        subprocess so a regression times out instead of stalling the
+        suite.  The shard kills itself (no fault plan), so nothing but
+        the policy decides how dispatch runs."""
+        script = tmp_path / "single_attempt.py"
+        script.write_text(SINGLE_ATTEMPT_SNIPPET)
+        env = {"PYTHONPATH": "src", "PATH": os.environ.get("PATH", "")}
+        proc = subprocess.run(
+            [sys.executable, str(script), str(tmp_path / "killed")],
+            capture_output=True, text=True, timeout=60,
+            cwd=Path(__file__).resolve().parent.parent, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["RetryBudgetError", "[0, 1, 4, 9]"]
 
     def test_fault_plan_forces_supervision_onto_plain_policy(self):
-        """A kill under max_attempts=1 would vanish on the starmap path —
-        dispatch must upgrade to supervision whenever shard faults exist."""
+        """An injected kill costs one retry of the killed shard, even
+        under the smallest budget that allows a retry."""
         with fault_plan("kill:shard=1"):
             got = run_shards(_square, [(i,) for i in range(4)], workers=2,
                              fresh_pool=True,

@@ -5,17 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import (
-    ParameterError,
-    RetryBudgetError,
-    TraceFormatError,
-)
-from repro.parallel.executor import RetryPolicy
+from repro.errors import ParameterError, TraceFormatError
 from repro.parallel.streaming import (
-    TraceChunkSource,
     chunked,
     parallel_chunk_tail_probabilities,
-    prefetch_backend_from_env,
     prefetch_chunks,
     streamed_moments,
     streamed_queue_tail_probabilities,
@@ -23,7 +16,7 @@ from repro.parallel.streaming import (
     streamed_trace_size_moments,
 )
 from repro.queueing.simulation import queue_occupancy, tail_probabilities
-from repro.trace.io import iter_trace_chunks, write_trace
+from repro.trace.io import write_trace
 from repro.trace.packet import PacketTrace
 
 
@@ -53,8 +46,13 @@ class TestChunked:
         assert list(chunked(np.empty(0), 4)) == []
 
     def test_bad_chunk_size_rejected(self):
-        with pytest.raises(ParameterError, match="chunk_size"):
-            list(chunked(np.arange(4), 0))
+        for bad in (0, 2.5, True):
+            with pytest.raises(ParameterError, match="chunk_size"):
+                list(chunked(np.arange(4), bad))
+            with pytest.raises(ParameterError, match="chunk_size"):
+                parallel_chunk_tail_probabilities(
+                    np.arange(4.0), [1.0], chunk_size=bad, workers=2
+                )
 
 
 class TestStreamedMoments:
@@ -168,13 +166,22 @@ class TestStreamedTraceMoments:
         assert state.mean == pytest.approx(sizes.mean(), rel=1e-12)
         assert state.variance == pytest.approx(sizes.var(), rel=1e-12)
 
-    def test_pipelined_bit_identical_to_sync(self, tmp_path):
+    @pytest.mark.parametrize("suffix", [".csv", ".rpt"])
+    def test_pipelined_bit_identical_to_sync(self, tmp_path, suffix):
         trace = _trace(997)
-        path = tmp_path / "trace.rpt"
+        path = tmp_path / f"trace{suffix}"
         write_trace(trace, path)
         sync = streamed_trace_size_moments(path, chunk_size=64, pipelined=False)
         piped = streamed_trace_size_moments(path, chunk_size=64, pipelined=True)
         assert sync == piped  # dataclass equality: count, mean, m2
+
+    def test_malformed_csv_error_names_file_and_line(self, tmp_path):
+        """A decode error on the reader thread re-raises at the consumer
+        with the reference ``path:line:`` message."""
+        path = tmp_path / "bad.csv"
+        path.write_text("# repro-trace v1\n1.0,1,2,40,6\n2.0,zap,2,40,6\n")
+        with pytest.raises(TraceFormatError, match=r"bad\.csv:3: "):
+            streamed_trace_size_moments(path, chunk_size=1)
 
 
 class TestPrefetchChunks:
@@ -189,8 +196,9 @@ class TestPrefetchChunks:
         assert list(prefetch_chunks(iter([]))) == []
 
     def test_depth_validated(self):
-        with pytest.raises(ParameterError, match="depth"):
-            list(prefetch_chunks(iter([]), depth=0))
+        for bad in (0, 2.5, True):
+            with pytest.raises(ParameterError, match="depth"):
+                list(prefetch_chunks(iter([]), depth=bad))
 
     def test_source_exception_reraised_in_place(self):
         def source():
@@ -235,156 +243,3 @@ class TestPrefetchChunks:
         plain = streamed_moments(chunked(x, 777))
         piped = streamed_moments(prefetch_chunks(chunked(x, 777)))
         assert plain == piped
-
-
-class TestProcessPrefetch:
-    """Sidecar-process decode: same chunks, supervised, leak-free."""
-
-    @pytest.fixture(autouse=True)
-    def no_stale_warning_latch(self, monkeypatch):
-        import repro.utils.once as once
-
-        monkeypatch.setattr(once, "_SEEN", set())
-
-    def write(self, tmp_path, suffix, n=500):
-        path = tmp_path / f"t{suffix}"
-        write_trace(_trace(n), path)
-        return path
-
-    def kill_sidecar(self):
-        """SIGKILL the prefetch sidecar once it exists (returns pid)."""
-        import multiprocessing
-        import os
-        import signal
-        import time
-
-        deadline = time.monotonic() + 10.0
-        while time.monotonic() < deadline:
-            for child in multiprocessing.active_children():
-                if child.name == "repro-chunk-prefetch" and child.pid:
-                    os.kill(child.pid, signal.SIGKILL)
-                    return child.pid
-            time.sleep(0.01)
-        raise AssertionError("prefetch sidecar never appeared")
-
-    @pytest.mark.parametrize("suffix", [".csv", ".rpt"])
-    def test_yields_identical_chunks(self, tmp_path, suffix):
-        path = self.write(tmp_path, suffix)
-        source = TraceChunkSource(str(path), chunk_size=64)
-        out = list(prefetch_chunks(source, backend="process"))
-        ref = list(iter_trace_chunks(path, chunk_size=64))
-        assert len(out) == len(ref)
-        for a, b in zip(out, ref):
-            assert a == b
-
-    def test_requires_reiterable_source(self):
-        with pytest.raises(ParameterError, match="TraceChunkSource"):
-            prefetch_chunks(iter([np.ones(3)]), backend="process")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ParameterError, match="backend"):
-            prefetch_chunks(iter([]), backend="fibers")
-
-    def test_moments_identical_across_backends(self, tmp_path):
-        path = self.write(tmp_path, ".csv")
-        plain = streamed_trace_size_moments(path, chunk_size=64,
-                                            pipelined=False)
-        threaded = streamed_trace_size_moments(path, chunk_size=64,
-                                               backend="thread")
-        sidecar = streamed_trace_size_moments(path, chunk_size=64,
-                                              backend="process")
-        assert plain == threaded == sidecar
-
-    def test_consumer_can_stop_early(self, tmp_path):
-        path = self.write(tmp_path, ".rpt", n=2000)
-        gen = prefetch_chunks(
-            TraceChunkSource(str(path), chunk_size=16), backend="process"
-        )
-        first = next(gen)
-        assert len(first) == 16
-        gen.close()  # must neither hang nor leak (leak check below)
-
-    def test_killed_sidecar_recovers_with_identical_stream(self, tmp_path):
-        path = self.write(tmp_path, ".csv", n=600)
-        source = TraceChunkSource(str(path), chunk_size=50)
-        ref = list(iter_trace_chunks(path, chunk_size=50))
-        gen = prefetch_chunks(
-            source, backend="process",
-            policy=RetryPolicy(max_attempts=3, backoff_base=0.01),
-        )
-        out = [next(gen)]
-        self.kill_sidecar()
-        out.extend(gen)
-        assert len(out) == len(ref)
-        for a, b in zip(out, ref):
-            assert a == b
-
-    def test_retry_budget_exhaustion(self, tmp_path):
-        import threading
-
-        path = self.write(tmp_path, ".csv", n=600)
-        source = TraceChunkSource(str(path), chunk_size=50)
-        gen = prefetch_chunks(
-            source, backend="process",
-            policy=RetryPolicy(max_attempts=1, backoff_base=0.01),
-        )
-        next(gen)
-        killer = threading.Thread(target=self.kill_sidecar)
-        killer.start()
-        with pytest.raises(RetryBudgetError, match="sidecar"):
-            list(gen)
-        killer.join()
-
-    def test_source_error_propagates_with_reference_message(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("# repro-trace v1\n1.0,1,2,40,6\n2.0,zap,2,40,6\n")
-        gen = prefetch_chunks(
-            TraceChunkSource(str(path), chunk_size=1), backend="process"
-        )
-        assert len(next(gen)) == 1
-        with pytest.raises(TraceFormatError, match=r"bad\.csv:3: "):
-            list(gen)
-
-    def test_fallback_to_thread_when_no_fork(self, tmp_path, monkeypatch):
-        import repro.parallel.streaming as streaming
-
-        path = self.write(tmp_path, ".rpt", n=120)
-        monkeypatch.setattr(
-            streaming.multiprocessing, "get_all_start_methods",
-            lambda: ["spawn"],
-        )
-        source = TraceChunkSource(str(path), chunk_size=32)
-        with pytest.warns(RuntimeWarning, match="falling back"):
-            out = list(prefetch_chunks(source, backend="process"))
-        ref = list(iter_trace_chunks(path, chunk_size=32))
-        assert len(out) == len(ref)
-        for a, b in zip(out, ref):
-            assert a == b
-
-    def test_no_shm_segments_leak(self, tmp_path):
-        import glob
-
-        before = set(glob.glob("/dev/shm/repro_*"))
-        path = self.write(tmp_path, ".csv", n=400)
-        source = TraceChunkSource(str(path), chunk_size=32)
-        list(prefetch_chunks(source, backend="process"))
-        gen = prefetch_chunks(source, backend="process")
-        next(gen)
-        gen.close()
-        assert set(glob.glob("/dev/shm/repro_*")) == before
-
-
-class TestPrefetchBackendEnv:
-    def test_default_is_thread(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PREFETCH", raising=False)
-        assert prefetch_backend_from_env() == "thread"
-
-    @pytest.mark.parametrize("value", ["thread", "process", " PROCESS "])
-    def test_valid_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_PREFETCH", value)
-        assert prefetch_backend_from_env() == value.strip().lower()
-
-    def test_malformed_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PREFETCH", "sidecar")
-        with pytest.raises(ParameterError, match="REPRO_PREFETCH"):
-            prefetch_backend_from_env()

@@ -2,7 +2,7 @@
 
 Pins the tentpole contracts: shards receive a handle (never a pickled
 array copy), every backend reproduces the parent's bits exactly, and the
-plain-array fallback keeps results identical when sharing is off.
+inline fallback keeps results identical when shared memory fails.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.systematic import SystematicSampler
 from repro.errors import ParameterError, TraceFormatError
-from repro.parallel import run_shards, shared_values, trace_sharing
+from repro.parallel import pool_runtime, run_shards, shared_values
 from repro.parallel.ensembles import parallel_instance_means
 from repro.trace.io import write_binary
 from repro.trace.packet import PacketTrace
@@ -191,11 +191,6 @@ class TestWorkerProtocol:
         with shared_values(small, workers=4, n_tasks=4) as ref:
             assert ref is small
 
-    def test_shared_values_respects_sharing_toggle(self, values):
-        with trace_sharing(False):
-            with shared_values(values, workers=4, n_tasks=4) as ref:
-                assert ref is values
-
     def test_workers_receive_handle_across_pool(self, values):
         with shared_values(values, workers=2, n_tasks=2) as ref:
             results = run_shards(_worker_sees, [(ref,), (ref,)], workers=2)
@@ -238,12 +233,28 @@ class TestEnsembleDispatch:
             assert isinstance(ref, TraceHandle), type(ref)
             assert not isinstance(ref, np.ndarray)
 
-    def test_sharing_off_matches_sharing_on(self, values):
+    def test_sharing_off_matches_sharing_on(self, values, monkeypatch):
+        """Where shared memory fails under a live persistent pool, the
+        trace rides inline in every shard (warned once), same results."""
+        from multiprocessing import shared_memory
+
+        import repro.utils.once as once
+
+        def no_shm(*args, **kwargs):
+            raise OSError("shared memory unavailable")
+
         trace = RateProcess(np.abs(values) + 0.1)
         sampler = SystematicSampler(interval=32, offset=None)
-        shared = parallel_instance_means(sampler, trace, 8, SEED, workers=4)
-        with trace_sharing(False):
-            pickled = parallel_instance_means(sampler, trace, 8, SEED, workers=4)
+        with pool_runtime(workers=2):
+            # The first region forks the pool after publishing (inherit);
+            # the second publishes into the live pool, so it needs shm.
+            shared = parallel_instance_means(sampler, trace, 8, SEED, workers=2)
+            monkeypatch.setattr(shared_memory, "SharedMemory", no_shm)
+            monkeypatch.setattr(once, "_SEEN", set())
+            with pytest.warns(RuntimeWarning, match="pickled into every shard"):
+                pickled = parallel_instance_means(
+                    sampler, trace, 8, SEED, workers=2
+                )
         np.testing.assert_array_equal(shared, pickled)
 
     def test_mmap_handle_feeds_ensemble(self, tmp_path, values):
