@@ -3,8 +3,15 @@
 The paper's context is PSAMP/NetFlow-style packet sampling (Sec. I), and
 Claffy et al.'s classic result is that *event-driven* (count-based)
 sampling beats *time-driven* sampling.  This module provides both flavours
-as single-pass decision machines: call :meth:`offer` once per packet, get
-back whether the packet is sampled.  :func:`apply_sampler` runs one over a
+as single-pass decision machines: call :meth:`~PacketSampler.offer` once
+per packet and get back whether the packet is sampled, or
+:meth:`~PacketSampler.offer_many` once per run of consecutive packets.
+``offer_many`` leaves the sampler, and its random generator, exactly where
+that many ``offer`` calls would, so any chunking of a trace, mixed with
+single ``offer`` calls, gets the decisions packet-by-packet calls get.  The
+count-based and Bernoulli samplers compute it with array operations; the
+base-class default loops over ``offer``, so a sampler that defines only
+``offer`` still works everywhere.  :func:`apply_sampler` runs one over a
 whole :class:`~repro.trace.packet.PacketTrace`.
 """
 
@@ -33,6 +40,24 @@ class PacketSampler(ABC):
     def offer(self, timestamp: float, size: int) -> bool:
         """Decide whether the packet observed now is sampled."""
 
+    def offer_many(self, timestamps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        """Decide a run of consecutive packets; a boolean array, one per packet.
+
+        Leaves the sampler and its generator exactly where one :meth:`offer`
+        call per packet would.  This default is that per-packet loop: the
+        reference every override is tested against.  A subclass that
+        changes ``offer`` of a sampler that overrides this method must
+        override this method too.
+        """
+        return np.fromiter(
+            (
+                self.offer(float(ts), int(size))
+                for ts, size in zip(timestamps, sizes)
+            ),
+            dtype=bool,
+            count=len(timestamps),
+        )
+
     def reset(self) -> None:
         """Restore initial state (default: nothing to reset)."""
 
@@ -48,14 +73,25 @@ class CountSystematicSampler(PacketSampler):
 
     def __init__(self, period: int, *, offset: int = 0) -> None:
         self._period = require_int_at_least("period", period, 1)
-        if not 0 <= offset < period:
-            raise ParameterError(f"offset must lie in [0, {period}), got {offset}")
-        self._offset = offset
+        self._offset = require_int_at_least("offset", offset, 0)
+        if self._offset >= self._period:
+            raise ParameterError(
+                f"offset must lie in [0, {self._period}), got {self._offset}"
+            )
         self._count = -1
 
     def offer(self, timestamp: float, size: int) -> bool:
         self._count += 1
         return self._count % self._period == self._offset
+
+    def offer_many(self, timestamps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        n = len(timestamps)
+        out = np.zeros(n, dtype=bool)
+        # Packet j of the run is packet self._count + 1 + j of the stream.
+        start = (self._offset - self._count - 1) % self._period
+        out[start::self._period] = True
+        self._count += n
+        return out
 
     def reset(self) -> None:
         self._count = -1
@@ -105,6 +141,23 @@ class CountStratifiedSampler(PacketSampler):
             self._chosen = int(self._rng.integers(0, self._period))
         return take
 
+    def offer_many(self, timestamps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        n = len(timestamps)
+        # Window i of the run starts at packet i * period - position (window
+        # 0 is the open one).  Each of the k windows that complete in the
+        # run draws its successor's pick as it completes, as offer does, so
+        # the last pick belongs to the window left open.
+        k = (self._position + n) // self._period
+        chosen = np.concatenate(
+            ([self._chosen], self._rng.integers(0, self._period, size=k))
+        )
+        picks = self._period * np.arange(k + 1) - self._position + chosen
+        out = np.zeros(n, dtype=bool)
+        out[picks[(picks >= 0) & (picks < n)]] = True
+        self._position = (self._position + n) % self._period
+        self._chosen = int(chosen[-1])
+        return out
+
     def reset(self) -> None:
         self._position = 0
         self._chosen = int(self._rng.integers(0, self._period))
@@ -121,6 +174,9 @@ class BernoulliPacketSampler(PacketSampler):
 
     def offer(self, timestamp: float, size: int) -> bool:
         return bool(self._rng.random() < self._rate)
+
+    def offer_many(self, timestamps: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+        return self._rng.random(len(timestamps)) < self._rate
 
 
 class SizeBiasedSampler(PacketSampler):
@@ -144,15 +200,15 @@ class SizeBiasedSampler(PacketSampler):
 
 
 def apply_sampler(sampler: PacketSampler, trace: PacketTrace) -> PacketTrace:
-    """Run a packet sampler over a trace; returns the sampled sub-trace."""
+    """Run a packet sampler over a trace; returns the sampled sub-trace.
+
+    The trace's packets are offered in order through one
+    :meth:`PacketSampler.offer_many` call, so the sampler continues from
+    its current state and ends where per-packet :meth:`~PacketSampler.offer`
+    calls would leave it: applying it to consecutive chunks of a capture
+    samples exactly what applying it to the whole capture does.  A sampler
+    that defines only ``offer`` runs through the base-class loop.
+    """
     if len(trace) == 0:
         return trace
-    decisions = np.fromiter(
-        (
-            sampler.offer(float(ts), int(size))
-            for ts, size in zip(trace.timestamps, trace.sizes)
-        ),
-        dtype=bool,
-        count=len(trace),
-    )
-    return trace.select(decisions)
+    return trace.select(sampler.offer_many(trace.timestamps, trace.sizes))

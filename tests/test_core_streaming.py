@@ -46,6 +46,10 @@ class TestCountSystematic:
             CountSystematicSampler(0)
         with pytest.raises(ParameterError):
             CountSystematicSampler(5, offset=5)
+        with pytest.raises(ParameterError, match="offset"):
+            CountSystematicSampler(10, offset=2.5)
+        with pytest.raises(ParameterError, match="offset"):
+            CountSystematicSampler(10, offset=True)
 
 
 class TestTimeSystematic:

@@ -9,7 +9,9 @@ offsets, zero pre-samples, zero extras, partial tail intervals, series of
 one interval).  The single exception is DFA, pinned at 1e-12 because its
 hot path keeps a BLAS matrix-vector product whose reduction order is not
 bit-reproducible against a per-box loop.  Davies–Harte fGn has no loop to
-keep: it is pinned to the ``numpy.fft`` formula it replaced.
+keep: it is pinned to the ``numpy.fft`` formula it replaced.  The packet
+samplers' batched ``offer_many`` is pinned to the base-class loop over
+``offer``, which stays the default for samplers that do not override it.
 """
 
 from __future__ import annotations
@@ -22,6 +24,12 @@ import pytest
 from repro.core.adaptive import AdaptiveRandomSampler
 from repro.core.bss import BiasedSystematicSampler
 from repro.core.stratified import StratifiedSampler
+from repro.core.streaming import (
+    BernoulliPacketSampler,
+    CountStratifiedSampler,
+    CountSystematicSampler,
+    PacketSampler,
+)
 from repro.core.systematic import SystematicSampler
 from repro.core.variance import _reference_instance_means, instance_means
 from repro.errors import ParameterError
@@ -41,7 +49,11 @@ from repro.trace.io import _RECORD, read_binary, write_binary, write_csv
 from repro.trace.packet import PacketTrace
 from repro.traffic.fgn import fgn_autocovariance, fgn_davies_harte
 from repro.traffic.onoff import OnOffModel
-from repro.traffic.synthetic import fgn_trace, synthetic_trace
+from repro.traffic.synthetic import (
+    fgn_trace,
+    synthetic_packet_trace,
+    synthetic_trace,
+)
 
 
 @pytest.fixture(scope="module")
@@ -373,6 +385,127 @@ class TestFgnParity:
                 fgn_davies_harte(n, hurst, seed, sigma=sigma),
                 _numpy_fft_fgn(n, hurst, seed, sigma=sigma),
             )
+
+
+# -------------------------------------------------------- packet samplers
+PACKETS = 1000
+
+#: (kind, parameter, window length in packets) per sampler under test.
+PACKET_SAMPLERS = [
+    *(
+        pytest.param("systematic", (period, offset), period,
+                     id=f"systematic-{period}-offset{offset}")
+        for period in (1, 7, 100)
+        for offset in sorted({0, period - 1})
+    ),
+    *(
+        pytest.param("stratified", period, period, id=f"stratified-{period}")
+        for period in (1, 3, 100, 2 * PACKETS)
+    ),
+    *(
+        pytest.param("bernoulli", rate, round(1 / rate), id=f"bernoulli-{rate}")
+        for rate in (0.01, 0.5, 1.0)
+    ),
+]
+
+
+def _packet_sampler(kind: str, parameter, seed: int) -> PacketSampler:
+    if kind == "systematic":
+        period, offset = parameter
+        return CountSystematicSampler(period, offset=offset)
+    if kind == "stratified":
+        return CountStratifiedSampler(parameter, rng=seed)
+    return BernoulliPacketSampler(parameter, rng=seed)
+
+
+def _chunk_bounds(chunking: str, window: int) -> list[int]:
+    """Chunk edges over ``PACKETS`` packets; cuts land on a window boundary."""
+    boundary = window if window < PACKETS else PACKETS // 2
+    return {
+        "whole": [0, PACKETS],
+        "single-packets": list(range(PACKETS + 1)),
+        "before-boundary": [0, boundary - 1, PACKETS],
+        "at-boundary": [0, boundary, PACKETS],
+        "after-boundary": [0, boundary + 1, PACKETS],
+        "empty-chunk": [0, boundary, boundary, PACKETS],
+    }[chunking]
+
+
+def _sampler_state(sampler: PacketSampler) -> dict:
+    state = dict(vars(sampler))
+    if "_rng" in state:
+        state["_rng"] = state["_rng"].bit_generator.state
+    return state
+
+
+def assert_same_sampler(batched: PacketSampler, looped: PacketSampler) -> None:
+    assert _sampler_state(batched) == _sampler_state(looped)
+    if hasattr(looped, "_rng"):
+        assert batched._rng.random() == looped._rng.random()
+        assert batched._rng.integers(0, 1000) == looped._rng.integers(0, 1000)
+
+
+@pytest.fixture(scope="module")
+def packets():
+    """(timestamps, sizes) of a ``PACKETS``-packet synthetic capture."""
+    trace = synthetic_packet_trace(PACKETS, rng=11)
+    return trace.timestamps, trace.sizes
+
+
+class TestPacketSamplerParity:
+    """``offer_many`` leaves sampler and generator where ``offer`` calls do.
+
+    The reference is the base-class ``offer_many``: one ``offer`` call per
+    packet, which the samplers under test override.  That
+    ``integers(size=k)`` consumes the generator like ``k`` scalar
+    draws is a NumPy implementation detail; the stratified cases pin it.
+    """
+
+    @pytest.mark.parametrize("kind, parameter, window", PACKET_SAMPLERS)
+    @pytest.mark.parametrize(
+        "chunking",
+        ["whole", "single-packets", "before-boundary", "at-boundary",
+         "after-boundary", "empty-chunk"],
+    )
+    def test_matches_offer_loop(self, packets, kind, parameter, window, chunking):
+        bounds = _chunk_bounds(chunking, window)
+        for seed in (0, 1, 2):
+            batched = _packet_sampler(kind, parameter, seed)
+            looped = _packet_sampler(kind, parameter, seed)
+            for lo, hi in zip(bounds, bounds[1:]):
+                chunk = [column[lo:hi] for column in packets]
+                np.testing.assert_array_equal(
+                    batched.offer_many(*chunk),
+                    PacketSampler.offer_many(looped, *chunk),
+                )
+            assert_same_sampler(batched, looped)
+
+    @pytest.mark.parametrize(
+        "kind, parameter",
+        [("systematic", (7, 3)), ("stratified", 7), ("bernoulli", 0.3)],
+    )
+    def test_mixed_calls_and_reset(self, packets, kind, parameter):
+        mixed = _packet_sampler(kind, parameter, 5)
+        looped = _packet_sampler(kind, parameter, 5)
+        steps = [("many", 10), ("one", 3), ("many", 0), ("many", 25),
+                 ("reset", 0), ("one", 1), ("many", 40), ("reset", 0),
+                 ("many", 1), ("one", 2), ("many", 100)]
+        position = 0
+        for step, n in steps:
+            if step == "reset":
+                mixed.reset()
+                looped.reset()
+                continue
+            chunk = [column[position:position + n] for column in packets]
+            position += n
+            expected = PacketSampler.offer_many(looped, *chunk)
+            if step == "one":
+                decided = [mixed.offer(float(ts), int(size))
+                           for ts, size in zip(*chunk)]
+            else:
+                decided = mixed.offer_many(*chunk)
+            np.testing.assert_array_equal(decided, expected)
+        assert_same_sampler(mixed, looped)
 
 
 # -------------------------------------------------------------- trace io
