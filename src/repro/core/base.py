@@ -140,3 +140,16 @@ def check_interval(interval: int, n: int) -> int:
             f"sampling interval {interval} exceeds series length {n}"
         )
     return interval
+
+
+def check_offset(offset: int | None, interval: int) -> int | None:
+    """Validate a systematic starting offset: ``None`` or an integer in
+    ``[0, interval)``; returns it as an ``int``."""
+    if offset is None:
+        return None
+    offset = require_int_at_least("offset", offset, 0)
+    if offset >= interval:
+        raise ParameterError(
+            f"offset must lie in [0, {interval}), got {offset}"
+        )
+    return offset

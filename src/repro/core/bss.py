@@ -19,12 +19,14 @@ stays above it — the extras capture exactly the rare large values that
 plain systematic sampling misses and that dominate the heavy-tailed mean.
 
 Two implementations share this logic: :class:`BiasedSystematicSampler`
-(array-native, used by the experiments: one strided gather for the
-regular stream, cumsum-based running means, and a scalar replay only
-from the first interval that keeps extras onward) and :class:`OnlineBSS`
-(a per-value state machine suitable for streaming deployment).  Tests pin
-both to the original per-granule loop, which survives as
-``BiasedSystematicSampler._reference_sample``.
+(array-native, used by the experiments) and :class:`OnlineBSS` (a
+per-value state machine suitable for streaming deployment).  The array
+form gathers the regular stream with one strided slice and finds the
+first interval that keeps extras from cumsum-based running means; from
+there a blocked speculate-and-verify replay (:func:`_blocked_replay`)
+re-derives every later threshold from sequential ``np.cumsum`` sums.
+Tests pin both implementations to the original per-granule loop, which
+survives as ``BiasedSystematicSampler._reference_sample``, bit for bit.
 
 One deliberate deviation from the paper's wording: extras are spaced
 ``C/(L+1)`` apart (strictly inside the interval) rather than ``C/L``,
@@ -43,6 +45,7 @@ from repro.core.base import (
     Sampler,
     SamplingResult,
     check_interval,
+    check_offset,
     interval_for_rate,
     series_values,
 )
@@ -68,6 +71,88 @@ _NO_EXTRAS = (
     np.empty(0, dtype=np.int64),
     np.empty(0, dtype=np.float64),
 )
+
+#: Intervals per block of :func:`_blocked_replay`.
+_REPLAY_BLOCK = 2048
+
+
+def _blocked_replay(
+    values: np.ndarray,
+    reg_idx: np.ndarray,
+    reg_val: np.ndarray,
+    offsets: np.ndarray,
+    eps: float,
+    start: int,
+    running_sum: float,
+    running_count: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Qualified extras of intervals ``start`` onward, a block at a time.
+
+    ``running_sum`` and ``running_count`` are the exact statistics after
+    interval ``start - 1``.  Each block is replayed by speculate and
+    verify.  A round guesses which extras the block's remaining intervals
+    keep, and gets every interval's running sum from one sequential
+    ``np.cumsum`` over the row-major ``[regular, extra…]`` matrix with
+    unkept entries zeroed: adding ``+0.0`` does not change a sum's value,
+    so each sum equals the reference loop's wherever the guess is right.
+    It then recomputes every threshold ``eps * S / C`` and decision, and
+    commits the intervals before the first changed decision.  An
+    interval's threshold depends only on the decisions before it, so that
+    changed decision is itself exact; the next round starts with it, and
+    every round commits at least one interval.  A block's first guess
+    holds its entering threshold fixed; later rounds reuse the last
+    round's decisions.
+    """
+    n = values.size
+    m = reg_idx.size
+    width = offsets.size + 1
+    threshold = eps * running_sum / running_count
+    kept_idx = []
+    kept_val = []
+    for lo in range(start, m, _REPLAY_BLOCK):
+        rows = min(lo + _REPLAY_BLOCK, m) - lo
+        ext_t = reg_idx[lo : lo + rows, None] + offsets
+        in_range = ext_t < n
+        block = np.empty((rows, width))
+        block[:, 0] = reg_val[lo : lo + rows]
+        block[:, 1:] = values[np.where(in_range, ext_t, 0)]
+        # An extra is kept iff its regular sample and itself both exceed
+        # the threshold; extras past the series end never are.
+        gate = np.minimum(
+            block[:, :1], np.where(in_range, block[:, 1:], -np.inf)
+        )
+        keep = np.empty((rows, width), dtype=bool)
+        keep[:, 0] = True
+        keep[:, 1:] = gate > threshold
+        done = 0
+        while done < rows:
+            guess = keep[done:]
+            summed = np.where(guess, block[done:], 0.0)
+            # The reference loop's first addition; the cumsum continues it.
+            summed[0, 0] += running_sum
+            sums = np.cumsum(summed)[width - 1 :: width]
+            counts = running_count + np.cumsum(np.count_nonzero(guess, axis=1))
+            # Thresholds entering each interval: a_th updates once per
+            # interval, after any extras.
+            thresholds = np.empty(rows - done)
+            thresholds[0] = threshold
+            thresholds[1:] = eps * sums[:-1] / counts[:-1]
+            decided = gate[done:] > thresholds[:, None]
+            changed = decided != guess[:, 1:]
+            first = int(changed.argmax())
+            if changed.flat[first]:
+                verified = first // (width - 1)
+            else:
+                verified = rows - done
+            running_sum = float(sums[verified - 1])
+            running_count = int(counts[verified - 1])
+            threshold = eps * running_sum / running_count
+            keep[done + verified :, 1:] = decided[verified:]
+            done += verified
+        kept_idx.append(ext_t[keep[:, 1:]])
+        kept_val.append(block[:, 1:][keep[:, 1:]])
+    return np.concatenate(kept_idx), np.concatenate(kept_val)
+
 
 @dataclass(frozen=True)
 class BiasedSystematicSampler(Sampler):
@@ -109,10 +194,9 @@ class BiasedSystematicSampler(Sampler):
         require_int_at_least("n_presamples", self.n_presamples, 0)
         if self.threshold is not None:
             require_positive("threshold", self.threshold)
-        if self.offset is not None and not 0 <= self.offset < self.interval:
-            raise ParameterError(
-                f"offset must lie in [0, {self.interval}), got {self.offset}"
-            )
+        object.__setattr__(
+            self, "offset", check_offset(self.offset, self.interval)
+        )
 
     # ------------------------------------------------------------- factories
     @classmethod
@@ -169,11 +253,12 @@ class BiasedSystematicSampler(Sampler):
         """Draw one BSS instance, array-native.
 
         The regular-sample stream is extracted with one strided gather and
-        its running statistics with ``np.cumsum``; a Python loop survives
-        only for *triggered* intervals (rare by design — bursts are the
-        exception), and the fixed-``threshold`` path has no loop at all.
-        ``_reference_sample`` keeps the original per-granule loop and the
-        parity tests pin the two together bit-for-bit.
+        its running statistics with ``np.cumsum``.  The fixed-``threshold``
+        path has no loop at all; the online path replays the intervals
+        from the first one that keeps extras in blocks, with a loop over
+        rounds but none over intervals.  ``_reference_sample`` keeps the
+        original per-granule loop and the parity tests pin the two
+        together bit-for-bit.
         """
         values = series_values(process)
         n = values.size
@@ -252,9 +337,8 @@ class BiasedSystematicSampler(Sampler):
         cumsum-based vector comparison; triggered intervals whose extras
         all fail to qualify leave the statistics untouched, so the frozen
         pass stays exact up to (and including) the first interval that
-        keeps extras.  Only from there does a scalar replay take over —
-        and bursts are rare by design, so most instances never leave the
-        vector path.
+        keeps extras.  :func:`_blocked_replay` takes over at that
+        interval, from the regular-sample prefix sums before it.
         """
         n = values.size
         m = reg_idx.size
@@ -283,64 +367,12 @@ class BiasedSystematicSampler(Sampler):
         if not keep_rows.size:
             # No interval keeps extras: the frozen pass is the exact run.
             return _NO_EXTRAS
-        # The first keeping interval saw undisturbed statistics, so its
-        # kept extras are exact; replay the remainder in scalar.
-        row = int(keep_rows[0])
-        pivot = int(trig[row])
-        pivot_mask = kept[row]
-        qualified_idx = list(ext_t[row, pivot_mask].tolist())
-        qualified_val = list(ext_v[row, pivot_mask].tolist())
-        running_sum = float(cum_reg[pivot])
-        running_count = pivot + 1
-        for extra in qualified_val:
-            running_sum += extra
-            running_count += 1
-        threshold = eps * running_sum / running_count
-        start = pivot + 1
-        if start < m:
-            tail_val = reg_val[start:].tolist()
-            # Replay triggers mostly coincide with the frozen triggers,
-            # whose extras are already gathered — expose them as plain
-            # Python lists keyed by regular-sample index.  The rare
-            # decision flip (replay threshold crossing the frozen one)
-            # re-gathers its interval on the fly.
-            later = trig >= start
-            cache = dict(
-                zip(
-                    trig[later].tolist(),
-                    zip(ext_t[later].tolist(), ext_v[later].tolist()),
-                )
-            )
-            offsets_list = offsets.tolist()
-            for r, value in enumerate(tail_val):
-                running_sum += value
-                running_count += 1
-                if value > threshold:
-                    entry = cache.get(start + r)
-                    if entry is None:
-                        base = int(reg_idx[start + r])
-                        row_t = [base + delta for delta in offsets_list]
-                        row_v = [
-                            float(values[extra_t])
-                            for extra_t in row_t
-                            if extra_t < n
-                        ]
-                    else:
-                        row_t, row_v = entry
-                    for c, extra_v in enumerate(row_v):
-                        extra_t = row_t[c]
-                        if extra_t >= n:
-                            break
-                        if extra_v > threshold:
-                            qualified_idx.append(extra_t)
-                            qualified_val.append(extra_v)
-                            running_sum += extra_v
-                            running_count += 1
-                # a_th updates once per interval, after any extras.
-                threshold = eps * running_sum / running_count
-        return (
-            np.asarray(qualified_idx, dtype=np.int64),
-            np.asarray(qualified_val, dtype=np.float64),
+        # The first keeping interval saw undisturbed statistics: the
+        # regular prefix sums.  Replay from it onward.
+        pivot = int(trig[keep_rows[0]])
+        return _blocked_replay(
+            values, reg_idx, reg_val, offsets, eps,
+            pivot, float(cum_reg[pivot - 1]), pivot,
         )
 
     def _reference_sample(self, process, rng=None) -> SamplingResult:

@@ -15,10 +15,10 @@ from repro.core.base import (
     Sampler,
     SamplingResult,
     check_interval,
+    check_offset,
     interval_for_rate,
     series_values,
 )
-from repro.errors import ParameterError
 from repro.utils.rng import normalize_rng
 
 
@@ -42,10 +42,9 @@ class SystematicSampler(Sampler):
     name = "systematic"
 
     def __post_init__(self) -> None:
-        if self.offset is not None and not 0 <= self.offset < self.interval:
-            raise ParameterError(
-                f"offset must lie in [0, {self.interval}), got {self.offset}"
-            )
+        object.__setattr__(
+            self, "offset", check_offset(self.offset, self.interval)
+        )
 
     @classmethod
     def from_rate(cls, rate: float, *, offset: int | None = 0) -> "SystematicSampler":

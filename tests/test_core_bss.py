@@ -110,6 +110,18 @@ class TestBssStructure:
             BiasedSystematicSampler(interval=10, extra_samples=1, epsilon=0.0)
         with pytest.raises(ParameterError):
             BiasedSystematicSampler(interval=10, extra_samples=1, offset=10)
+        # A non-integral offset used to sample from index 2; True was 1.
+        for offset in (2.5, True):
+            with pytest.raises(ParameterError, match="offset"):
+                BiasedSystematicSampler(
+                    interval=10, extra_samples=1, offset=offset
+                )
+            with pytest.raises(ParameterError, match="offset"):
+                OnlineBSS(10, 1, offset=offset)
+
+    def test_integral_offset_stored_as_int(self):
+        assert BiasedSystematicSampler(10, 1, offset=3.0).offset == 3
+        assert type(BiasedSystematicSampler(10, 1, offset=3.0).offset) is int
 
 
 class TestBssDesign:

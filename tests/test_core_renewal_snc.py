@@ -153,3 +153,23 @@ class TestSampledAcfViaRenewal:
             sampled_acf_via_renewal(
                 IntervalDistribution.deterministic(4), 0.5, [0]
             )
+
+    @pytest.mark.parametrize(
+        "taus", [[], [3.5], [64, 128.25], [2.0, np.nan], [[4, 8]]]
+    )
+    def test_empty_or_non_integral_taus_rejected(self, taus):
+        """An empty grid used to raise a bare ValueError, 3.5 ran as 3."""
+        dist = IntervalDistribution.deterministic(4)
+        with pytest.raises(ParameterError, match="taus"):
+            sampled_acf_via_renewal(dist, 0.5, taus)
+        with pytest.raises(ParameterError, match="taus"):
+            snc_check(dist, 0.5, taus=taus)
+        with pytest.raises(ParameterError, match="taus"):
+            snc_sweep(dist, [0.3, 0.5], taus=taus)
+
+    def test_integral_float_taus_accepted(self):
+        dist = IntervalDistribution.deterministic(4)
+        np.testing.assert_array_equal(
+            sampled_acf_via_renewal(dist, 0.5, [3.0, 10.0]),
+            sampled_acf_via_renewal(dist, 0.5, [3, 10]),
+        )

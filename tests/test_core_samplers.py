@@ -118,6 +118,10 @@ class TestSystematicSampler:
     def test_offset_out_of_range(self):
         with pytest.raises(ParameterError):
             SystematicSampler(interval=10, offset=10)
+        # A non-integral offset used to sample from index 2; True was 1.
+        for offset in (2.5, True):
+            with pytest.raises(ParameterError, match="offset"):
+                SystematicSampler(interval=10, offset=offset)
 
     def test_interval_exceeds_length(self):
         with pytest.raises(ParameterError):

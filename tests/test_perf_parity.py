@@ -12,17 +12,30 @@ bit-reproducible against a per-box loop.  Davies–Harte fGn has no loop to
 keep: it is pinned to the ``numpy.fft`` formula it replaced.  The packet
 samplers' batched ``offer_many`` is pinned to the base-class loop over
 ``offer``, which stays the default for samplers that do not override it.
+BSS's blocked replay is pinned over random series built to stress it, and
+the one NumPy behaviour it relies on — ``np.cumsum`` adding float64 left
+to right — is pinned on its own.
 """
 
 from __future__ import annotations
 
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import bss as bss_module
 from repro.core.adaptive import AdaptiveRandomSampler
 from repro.core.bss import BiasedSystematicSampler
+from repro.core.renewal import IntervalDistribution
+from repro.core.snc import (
+    _reference_sampled_acf_via_renewal,
+    sampled_acf_via_renewal,
+    snc_sweep,
+)
 from repro.core.stratified import StratifiedSampler
 from repro.core.streaming import (
     BernoulliPacketSampler,
@@ -70,7 +83,7 @@ def fgn():
 
 def assert_same_sampling(result, reference):
     np.testing.assert_array_equal(result.indices, reference.indices)
-    np.testing.assert_array_equal(result.values, reference.values)
+    assert result.values.tobytes() == reference.values.tobytes()
     assert result.n_population == reference.n_population
     assert result.n_base == reference.n_base
     assert result.method == reference.method
@@ -161,6 +174,256 @@ class TestBssParity:
         assert_same_sampling(
             sampler.sample(pareto), sampler._reference_sample(pareto)
         )
+
+    @pytest.mark.parametrize("hurst", [0.55, 0.8, 0.95])
+    def test_fig21_dense_triggers(self, hurst):
+        """Fig. 21's configuration: about half the intervals trigger.
+
+        ``n`` gives 8192 intervals, so the blocked replay runs over four
+        blocks.
+        """
+        n = 1 << 16
+        assert n // 8 >= 3 * bss_module._REPLAY_BLOCK
+        series = 10.0 + fgn_davies_harte(n, hurst, 21)
+        sampler = BiasedSystematicSampler(
+            interval=8, extra_samples=4, epsilon=1.0
+        )
+        result = sampler.sample(series)
+        assert result.n_extra > n // 64
+        assert_same_sampling(result, sampler._reference_sample(series))
+
+    @pytest.mark.parametrize("level", [0.1, 0.3, 0.7, 1.1])
+    def test_constant_inexact_series(self, level):
+        """A constant series keeps extras only where the running mean
+        rounds below it: the decisions test the order of every addition.
+        """
+        series = np.full(8 * (3 * bss_module._REPLAY_BLOCK + 100), level)
+        sampler = BiasedSystematicSampler(interval=8, extra_samples=4)
+        result = sampler.sample(series)
+        assert result.n_extra > 0
+        assert_same_sampling(result, sampler._reference_sample(series))
+
+    @pytest.mark.parametrize(
+        "tail",
+        [
+            0,
+            1,
+            1023,
+            1024,
+            bss_module._REPLAY_BLOCK - 1,
+            bss_module._REPLAY_BLOCK + 1,
+            2 * bss_module._REPLAY_BLOCK,
+        ],
+    )
+    def test_replay_tail_lengths(self, tail):
+        """The first keeping interval is placed so exactly ``tail``
+        intervals follow it: none, a few, and block edges on or next to
+        the last interval."""
+        pivot, interval = 10, 4
+        values = np.ones((pivot + 1 + tail, interval))
+        values[pivot] = 5.0  # the first interval to trigger and keep
+        values[pivot + 1 :] = 1.0 + np.random.default_rng(tail).pareto(
+            1.3, (tail, interval)
+        )
+        series = values.ravel()
+        sampler = BiasedSystematicSampler(
+            interval=interval, extra_samples=2, n_presamples=2
+        )
+        result = sampler.sample(series)
+        assert result.n_extra >= 2
+        assert_same_sampling(result, sampler._reference_sample(series))
+
+
+def _stress_series(kind: str, n: int, seed: int) -> np.ndarray:
+    """A series shaped to stress the online-threshold replay."""
+    rng = np.random.default_rng(seed)
+    if kind == "fgn+10":
+        # Fig. 21's shape: dense triggers at eps = 1.0.
+        return 10.0 + fgn_davies_harte(max(n, 2), 0.85, seed)[:n]
+    if kind == "ties":
+        # Small integers in runs: thresholds land exactly on values.
+        runs = np.repeat(rng.integers(1, 4, n), rng.integers(1, 6, n))
+        return runs[:n].astype(np.float64)
+    if kind == "constant":
+        # An inexact decimal: every decision rests on rounding alone.
+        return np.full(n, rng.choice([0.1, 0.3, 0.7, 1.1]))
+    if kind == "decimals":
+        # Inexact decimals in runs: thresholds land within an ulp of
+        # values, so a sum added in another order flips decisions.
+        picks = rng.choice([0.1, 0.2, 0.3, 0.7], n)
+        return np.repeat(picks, rng.integers(1, 6, n))[:n]
+    if kind == "signed":
+        # Zero, negative and signed-zero values; thresholds cross zero.
+        values = rng.integers(-3, 4, n).astype(np.float64)
+        zeros = values == 0
+        values[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+        return values
+    return rng.pareto(1.3, n) + 1.0  # heavy-tailed
+
+
+@st.composite
+def _bss_cases(draw, rows, *, min_interval: int = 1, min_extras: int = 0):
+    """(sampler, series, rng seed) with about ``rows`` regular samples."""
+    interval = draw(st.integers(min_interval, 12))
+    sampler = BiasedSystematicSampler(
+        interval=interval,
+        extra_samples=draw(st.integers(min_extras, 6)),
+        epsilon=draw(st.sampled_from([0.4, 0.9, 1.0, 1.25])),
+        n_presamples=draw(st.integers(0, 8)),
+        offset=draw(st.none() | st.integers(0, interval - 1)),
+    )
+    # A partial final interval puts its extras past the series end.
+    n = draw(rows) * interval + draw(st.integers(0, interval - 1))
+    kind = draw(
+        st.sampled_from(
+            ["fgn+10", "ties", "constant", "decimals", "signed", "pareto"]
+        )
+    )
+    series = _stress_series(kind, n, draw(st.integers(0, 2**32 - 1)))
+    return sampler, series, draw(st.integers(0, 2**16))
+
+
+class TestBssReplayProperty:
+    """``sample`` ≡ ``_reference_sample`` over series built to stress the
+    blocked replay: dense triggers, ties at the threshold, decisions that
+    rest on rounding, zero and negative values, extras past the series
+    end."""
+
+    @given(
+        _bss_cases(
+            st.integers(8, 1100)
+            | st.integers(
+                2 * bss_module._REPLAY_BLOCK, 3 * bss_module._REPLAY_BLOCK + 64
+            ),
+            min_interval=2,
+            min_extras=1,
+        )
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_reference(self, case):
+        """Short series and series over several blocks."""
+        sampler, series, seed = case
+        assert_same_sampling(
+            sampler.sample(series, seed),
+            sampler._reference_sample(series, seed),
+        )
+
+    @given(_bss_cases(st.integers(1, 120)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_with_tiny_blocks(self, case):
+        """Blocks of 5 intervals: many blocks and rounds per instance,
+        block edges at every position."""
+        sampler, series, seed = case
+        with mock.patch.object(bss_module, "_REPLAY_BLOCK", 5):
+            result = sampler.sample(series, seed)
+        assert_same_sampling(result, sampler._reference_sample(series, seed))
+
+
+def _loop_cumsum(values: np.ndarray) -> np.ndarray:
+    """Running sums as the reference loop forms them, in Python floats."""
+    total = float(values[0])
+    out = [total]
+    for value in values[1:].tolist():
+        total += value
+        out.append(total)
+    return np.array(out, dtype=np.float64)
+
+
+def _adversarial_floats(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    n = 4096
+    wide = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300, 300, n)
+    near_one = 1.0 + rng.integers(-8, 9, n) * np.finfo(np.float64).eps
+    cancelling = np.repeat(rng.normal(size=n // 2) * 1e16, 2)
+    cancelling[1::2] *= -1.0
+    zeros = rng.choice([0.0, -0.0, 1e-300, -1e-300, 5e-324], n)
+    parts = [wide, near_one, -near_one, cancelling, zeros]
+    return rng.permutation(np.concatenate(parts))
+
+
+class TestCumsumArithmetic:
+    """The blocked BSS replay takes running sums from ``np.cumsum``: it
+    must add float64 left to right, exactly like ``total += value``, and
+    adding ``+0.0`` for an unkept sample must not change a sum's value.
+    A NumPy change to the accumulation order fails here, by name."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cumsum_is_a_left_to_right_loop(self, seed):
+        values = _adversarial_floats(seed)
+        expected = _loop_cumsum(values)
+        assert np.cumsum(values).tobytes() == expected.tobytes()
+        # The replay's input is a C-ordered matrix, flattened by cumsum.
+        rows = values.reshape(-1, 8)
+        assert np.cumsum(rows).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_zeroed_entries_leave_sums_unchanged(self, seed):
+        values = _adversarial_floats(seed)
+        kept = np.random.default_rng(seed).random(values.size) < 0.4
+        kept[0] = True
+        zeroed = np.cumsum(np.where(kept, values, 0.0))
+        skipped = _loop_cumsum(values[kept])
+        np.testing.assert_array_equal(zeroed[kept], skipped)
+
+    @given(
+        st.lists(
+            st.floats(allow_nan=False, allow_infinity=False, width=64),
+            min_size=1,
+            max_size=200,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_finite_floats(self, values):
+        values = np.array(values, dtype=np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            summed = np.cumsum(values)
+        assert summed.tobytes() == _loop_cumsum(values).tobytes()
+
+
+# -------------------------------------------------------------------- SNC
+def _heavy_gaps() -> IntervalDistribution:
+    pmf = np.concatenate([[0.0], np.arange(1.0, 65.0) ** -1.5])
+    return IntervalDistribution(pmf=pmf / pmf.sum(), name="heavy")
+
+
+SNC_DISTRIBUTIONS = {
+    "stratified": IntervalDistribution.stratified(10),
+    "simple-random": IntervalDistribution.geometric(0.1),
+    "systematic": IntervalDistribution.deterministic(7),
+    "heavy": _heavy_gaps(),
+}
+
+
+class TestSncParity:
+    """The sweep computes each kernel k(·, tau) once for every beta; per
+    (beta, tau) it must give the reference loop's bits."""
+
+    @pytest.mark.parametrize(
+        "dist", SNC_DISTRIBUTIONS.values(), ids=SNC_DISTRIBUTIONS
+    )
+    @pytest.mark.parametrize("const", [1.0, 2.5])
+    def test_sampled_acf(self, dist, const):
+        taus = [1, 2, 7, 40, 64, 97]
+        for beta in (0.05, 0.5, 0.95):
+            fast = sampled_acf_via_renewal(dist, beta, taus, const=const)
+            reference = _reference_sampled_acf_via_renewal(
+                dist, beta, taus, const=const
+            )
+            assert fast.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize(
+        "dist", SNC_DISTRIBUTIONS.values(), ids=SNC_DISTRIBUTIONS
+    )
+    def test_sweep(self, dist):
+        betas = [0.1, 0.45, 0.8]
+        taus = None if dist.name != "heavy" else np.arange(4, 40)
+        results = snc_sweep(dist, betas, taus=taus)
+        assert [r.beta for r in results] == betas
+        for result in results:
+            reference = _reference_sampled_acf_via_renewal(
+                dist, result.beta, result.taus
+            )
+            assert result.sampled_acf.tobytes() == reference.tobytes()
 
 
 # -------------------------------------------------------------- adaptive
