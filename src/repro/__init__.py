@@ -16,9 +16,9 @@ Sampling Techniques for Self-Similar Internet Traffic" (ICDCS 2005):
 * :mod:`repro.hurst` — seven Hurst estimators including the wavelet
   (Abry-Veitch) tool the paper uses.
 * :mod:`repro.queueing` — fBm queueing (why the Hurst parameter matters).
-* :mod:`repro.parallel` — the sharded ensemble engine: deterministic
-  multi-core Monte-Carlo with mergeable partial states and chunked
-  streaming (``workers=N`` is bit-identical to ``workers=1``).
+* :mod:`repro.parallel` — dispatch of whole figures and scenario cells
+  over a worker pool (``workers=N`` is bit-identical to ``workers=1``),
+  plus bounded-memory streaming folds.
 * :mod:`repro.experiments` — one runnable experiment per paper figure.
 
 Quickstart::
@@ -59,12 +59,7 @@ from repro.errors import (
     TraceFormatError,
 )
 from repro.hurst import HurstEstimate, estimate_hurst
-from repro.parallel import (
-    ShardPlan,
-    parallel_average_variance,
-    parallel_instance_means,
-    set_default_workers,
-)
+from repro.parallel import set_default_workers
 from repro.trace import (
     FlowTable,
     PacketRecord,
@@ -134,9 +129,6 @@ __all__ = [
     "HurstEstimate",
     "estimate_hurst",
     # parallel
-    "ShardPlan",
-    "parallel_instance_means",
-    "parallel_average_variance",
     "set_default_workers",
     # errors
     "ReproError",

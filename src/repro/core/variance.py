@@ -29,7 +29,7 @@ from repro.utils.validation import require_int_at_least
 
 
 def instance_means(
-    sampler: Sampler, process, n_instances: int, rng=None, *, workers=None
+    sampler: Sampler, process, n_instances: int, rng=None
 ) -> np.ndarray:
     """Sampled means of ``n_instances`` independent sampling instances.
 
@@ -44,37 +44,9 @@ def instance_means(
     dispatch for the whole Monte-Carlo ensemble instead of one sampling
     pass per instance.  ``_reference_instance_means`` keeps the
     instance-at-a-time loop for parity testing.
-
-    ``workers`` routes the ensemble through the sharded engine in
-    :mod:`repro.parallel` (``None`` consults the session default set by
-    the ``--workers`` CLI flag).  Instances are independent, so the
-    sharded result is bit-for-bit identical to the serial one.
     """
     require_int_at_least("n_instances", n_instances, 1)
-    from repro.parallel.executor import resolve_workers
-
-    n_workers = resolve_workers(workers)
-    if n_workers > 1 and n_instances > 1:
-        from repro.parallel.ensembles import parallel_instance_means
-
-        return parallel_instance_means(
-            sampler, process, n_instances, rng, workers=n_workers
-        )
-    gen = normalize_rng(rng)
-    children = spawn_rngs(gen, n_instances)
-    return ensemble_means_for_children(sampler, process, children)
-
-
-def ensemble_means_for_children(
-    sampler: Sampler, process, children
-) -> np.ndarray:
-    """Sampled means for an explicit list of per-instance generators.
-
-    The shared core of the serial and sharded ensemble paths: a shard
-    computes the means for its contiguous slice of the spawned children
-    with exactly the code the serial path runs on the full list, so
-    results are identical however the ensemble is partitioned.
-    """
+    children = spawn_rngs(normalize_rng(rng), n_instances)
     if isinstance(sampler, SystematicSampler) and sampler.offset is None:
         return _systematic_instance_means(sampler, process, children)
     if isinstance(sampler, StratifiedSampler):
@@ -145,12 +117,11 @@ def average_variance(
     rng=None,
     *,
     true_mean: float | None = None,
-    workers=None,
 ) -> float:
     """E(V): mean squared deviation of instance means from the true mean."""
     values = series_values(process)
     target = float(values.mean()) if true_mean is None else float(true_mean)
-    means = instance_means(sampler, process, n_instances, rng, workers=workers)
+    means = instance_means(sampler, process, n_instances, rng)
     return float(np.mean((means - target) ** 2))
 
 

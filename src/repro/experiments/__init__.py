@@ -3,9 +3,9 @@
 Run ``python -m repro.experiments list`` to see the experiments and
 ``python -m repro.experiments run fig18`` to regenerate one figure's data
 as a text table.  Figures declare their panels as
-:class:`~repro.experiments.sweeps.SweepSpec` objects; the sweep runner
-routes every ensemble through the sharded parallel engine, so
-``--workers N`` accelerates any figure without changing its numbers.
+:class:`~repro.experiments.sweeps.SweepSpec` objects.  Each figure is a
+pure function of ``(scale, seed)``, so ``run all --workers N`` runs N
+figures at a time without changing a number.
 """
 
 from repro.experiments.runner import (

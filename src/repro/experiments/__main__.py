@@ -3,27 +3,24 @@
 Usage::
 
     python -m repro.experiments list
-    python -m repro.experiments run fig18 [--scale 0.5] [--seed 1] [--workers 4]
-    python -m repro.experiments run all   [--scale 0.25] [--runtime persistent]
+    python -m repro.experiments run fig18 [--scale 0.5] [--seed 1]
+    python -m repro.experiments run all   [--scale 0.25] [--workers 4]
     python -m repro.experiments run fig18 [--telemetry on]
     python -m repro.experiments runtime
     python -m repro.experiments scenarios list
     python -m repro.experiments scenarios run [NAME ...] [--smoke] [--resume]
-        [--schedule cells] [--max-attempts N] [--shard-deadline S]
+        [--workers N] [--max-attempts N] [--shard-deadline S]
         [--faults PLAN] [--telemetry on] [--profile DIR]
     python -m repro.experiments scenarios report --campaign NAME [--json]
     python -m repro.experiments telemetry {summary,spans,timeline} --campaign NAME
 
-``--workers`` wins over the ``REPRO_WORKERS`` environment variable,
-which sets the session default; results never depend on either.
-``--runtime persistent`` (or ``REPRO_RUNTIME=persistent``) keeps one
-worker pool alive across every figure/campaign cell instead of forking
-per parallel region — same outputs, less fixed overhead for many-cell
-sweeps.  ``--schedule`` (or ``REPRO_SCHEDULE``) picks where parallelism
-sits: ``ensembles`` shards inside each cell/row, ``cells`` shards the
-campaign's pending-cell list (or a panel's independent rows) across the
-pool, and ``auto`` — the default — decides per workload; stores and
-figures are byte-identical in every mode.  The ``runtime`` subcommand
+Whole figures and whole campaign cells are the one grain of parallel
+work: ``run all --workers N`` runs N figures at a time and ``scenarios
+run --workers N`` runs N cells at a time, each in one dispatch over a
+per-command worker pool.  Output is printed (or appended to the store)
+in canonical order as each prefix completes, and is byte-identical for
+any N.  ``--workers`` wins over the ``REPRO_WORKERS`` environment
+variable, which sets the session default.  The ``runtime`` subcommand
 prints the parallel configuration this machine and environment would
 run with, each knob annotated with its provenance (default / env /
 context / cli).
@@ -32,9 +29,9 @@ context / cli).
 metrics, and structured events through :mod:`repro.obs`; campaigns also
 write a ``telemetry.jsonl`` sidecar next to their store, which the
 ``telemetry`` subcommand reads back as a summary table, span tree, or
-scheduler timeline.  Stores, manifests, and figures stay byte-identical
+dispatch timeline.  Stores, manifests, and figures stay byte-identical
 with telemetry on or off.  ``scenarios run --profile DIR`` additionally
-dumps per-worker cProfile stats into ``DIR`` and prints the aggregated
+dumps per-cell cProfile stats into ``DIR`` and prints the aggregated
 hot-path table.
 
 ``scenarios run`` executes declarative evaluation campaigns
@@ -43,8 +40,8 @@ hot-path table.
 ``--resume``, skipping every completed cell, and ``scenarios report``
 renders the stored accuracy comparison tables.  ``--max-attempts`` and
 ``--shard-deadline`` tune the executor's worker-loss/deadline
-supervision; ``--faults`` (or ``REPRO_FAULTS``) injects a deterministic
-fault plan for chaos testing — see :mod:`repro.faults`.
+supervision of each cell; ``--faults`` (or ``REPRO_FAULTS``) injects a
+deterministic fault plan for chaos testing — see :mod:`repro.faults`.
 """
 
 from __future__ import annotations
@@ -57,7 +54,7 @@ import time
 from repro.experiments.runner import (
     available_experiments,
     execution_scope,
-    run_experiment,
+    timed_experiment,
 )
 
 
@@ -75,22 +72,10 @@ def main(argv=None) -> int:
     runner.add_argument("--seed", type=int, default=None,
                         help="override the master seed")
     runner.add_argument("--workers", type=int, default=None,
-                        help="shard ensembles over N worker processes "
-                             "(results are identical for any N; overrides "
+                        help="run N figures at a time in worker processes "
+                             "(one figure always runs in one process; "
+                             "output is identical for any N; overrides "
                              "the REPRO_WORKERS env default)")
-    runner.add_argument("--runtime", choices=("persistent", "fresh"),
-                        default=None,
-                        help="'persistent' reuses one worker pool across "
-                             "every figure (amortizes fork); 'fresh' forks "
-                             "per parallel region.  Results are identical; "
-                             "default comes from REPRO_RUNTIME (else fresh)")
-    runner.add_argument("--schedule", choices=("auto", "cells", "ensembles"),
-                        default=None,
-                        help="where parallelism sits: 'ensembles' shards "
-                             "inside each panel row, 'cells' interleaves "
-                             "independent rows across the pool, 'auto' "
-                             "decides per panel.  Results are identical; "
-                             "default comes from REPRO_SCHEDULE (else auto)")
     runner.add_argument("--telemetry", choices=("on", "off"), default=None,
                         help="record span traces, metrics, and events for "
                              "this run (figures stay byte-identical; "
@@ -125,28 +110,17 @@ def main(argv=None) -> int:
     scen_run.add_argument("--seed", type=int, default=None,
                           help="override the campaign master seed")
     scen_run.add_argument("--workers", type=int, default=None,
-                          help="shard every cell ensemble over N workers "
-                               "(results identical for any N)")
-    scen_run.add_argument("--runtime", choices=("persistent", "fresh"),
-                          default=None,
-                          help="worker-pool lifetime across cells (default "
-                               "from REPRO_RUNTIME, else fresh)")
-    scen_run.add_argument("--schedule",
-                          choices=("auto", "cells", "ensembles"),
-                          default=None,
-                          help="'cells' shards the campaign's pending-cell "
-                               "list across the pool, 'ensembles' "
-                               "parallelises inside each cell, 'auto' picks "
-                               "per campaign.  The store is byte-identical "
-                               "either way; default from REPRO_SCHEDULE "
-                               "(else auto)")
+                          help="run N cells at a time in worker processes "
+                               "(the store is identical for any N)")
     scen_run.add_argument("--max-attempts", type=int, default=None,
-                          help="per-shard retry budget for worker-loss/"
+                          help="per-cell retry budget for worker-loss/"
                                "deadline recovery (default 3; 1 never "
-                               "retries: a lost shard fails at once)")
+                               "retries: a lost cell is quarantined at "
+                               "once)")
     scen_run.add_argument("--shard-deadline", type=float, default=None,
-                          help="seconds a dispatched shard may run before "
-                               "it is retried (default: no deadline)")
+                          help="seconds a cell may run in its worker "
+                               "before it is retried (default: no "
+                               "deadline)")
     scen_run.add_argument("--faults", default=None,
                           help="deterministic fault-injection plan, e.g. "
                                "'kill:shard=3,delay:shard=5:seconds=30' "
@@ -176,7 +150,7 @@ def main(argv=None) -> int:
     telemetry.add_argument("view", choices=("summary", "spans", "timeline"),
                            help="'summary' aggregates spans/counters/gauges, "
                                 "'spans' prints the span tree, 'timeline' "
-                                "shows scheduler rounds and the critical "
+                                "shows the cell dispatch and the critical "
                                 "path")
     telemetry.add_argument("--campaign", required=True,
                            help="campaign whose sidecar to read")
@@ -198,21 +172,23 @@ def main(argv=None) -> int:
     if args.command == "scenarios":
         return _scenarios_main(args)
 
+    from repro.parallel import run_shards
+    from repro.utils.validation import require_probability
+
     names = available_experiments() if args.name == "all" else [args.name]
-    # A persistent scope keeps one pool alive across *all* requested
-    # figures — the fork cost is paid once per session, not per
-    # figure (and not per panel cell).  Outputs are identical.
+    require_probability("scale", args.scale)
     telemetry = None if args.telemetry is None else args.telemetry == "on"
-    with execution_scope(workers=args.workers, runtime=args.runtime,
-                         schedule=args.schedule, telemetry=telemetry):
-        for name in names:
-            start = time.perf_counter()
-            panels = run_experiment(name, scale=args.scale, seed=args.seed)
-            elapsed = time.perf_counter() - start
+    # One dispatch of whole figures; each is printed once it and every
+    # figure before it are done, so the output reads the same for any N.
+    tasks = [(name, args.scale, args.seed) for name in names]
+    with execution_scope(workers=args.workers, telemetry=telemetry):
+        for name, (panels, elapsed) in zip(
+            names, run_shards(timed_experiment, tasks)
+        ):
             for panel in panels:
                 print(panel.render())
                 print()
-            print(f"[{name}] completed in {elapsed:.1f}s\n")
+            print(f"[{name}] completed in {elapsed:.1f}s\n", flush=True)
     return 0
 
 
@@ -226,30 +202,20 @@ def _runtime_main() -> int:
     """
     import repro.obs as obs
     from repro.parallel import (
-        get_default_schedule,
         get_default_workers,
         pool_start_method,
-        schedule_provenance,
         suggested_workers,
         workers_provenance,
     )
-    from repro.parallel.runtime import runtime_mode_from_env
 
     def _env(var: str) -> str:
         return f"({var}={os.environ.get(var, 'unset')})"
-
-    def _env_source(var: str) -> str:
-        return "env" if os.environ.get(var) is not None else "default"
 
     print(f"cpu_count:          {os.cpu_count()}")
     print(f"suggested_workers:  {suggested_workers()}")
     print(f"pool_start_method:  {pool_start_method()}")
     print(f"default_workers:    {get_default_workers()} "
           f"[{workers_provenance()}] {_env('REPRO_WORKERS')}")
-    print(f"runtime_mode:       {runtime_mode_from_env()} "
-          f"[{_env_source('REPRO_RUNTIME')}] {_env('REPRO_RUNTIME')}")
-    print(f"schedule:           {get_default_schedule()} "
-          f"[{schedule_provenance()}] {_env('REPRO_SCHEDULE')}")
     print(f"telemetry:          "
           f"{'on' if obs.telemetry_enabled() else 'off'} "
           f"[{obs.telemetry_provenance()}] {_env('REPRO_TELEMETRY')}")
@@ -341,10 +307,7 @@ def _scenarios_main(args) -> int:
         profile_scope = contextlib.nullcontext()
     start = time.perf_counter()
     with faults_scope, profile_scope, \
-            execution_scope(workers=args.workers,
-                            runtime=args.runtime,
-                            schedule=args.schedule,
-                            telemetry=telemetry):
+            execution_scope(workers=args.workers, telemetry=telemetry):
         summary = run_campaign(
             args.names or None,
             campaign=campaign,

@@ -23,6 +23,7 @@ from repro.trace.process import RateProcess
 from repro.traffic.belllabs import BellLabsLikeTrace
 from repro.traffic.synthetic import onoff_trace, synthetic_trace
 from repro.utils.rng import stream_for
+from repro.utils.validation import require_probability
 
 #: Master seed for the whole experiment suite.
 MASTER_SEED = 20050601
@@ -50,9 +51,11 @@ CS_REAL = 0.5
 
 
 def scaled(n: int, scale: float, *, minimum: int = 1024) -> int:
-    """Shrink a nominal size by ``scale``, never below ``minimum``."""
-    if not 0.0 < scale <= 1.0:
-        raise ValueError(f"scale must lie in (0, 1], got {scale}")
+    """Shrink a nominal size by ``scale``, never below ``minimum``.
+
+    A ``scale`` outside (0, 1] raises :class:`~repro.errors.ParameterError`.
+    """
+    require_probability("scale", scale)
     return max(int(n * scale), minimum)
 
 

@@ -53,9 +53,6 @@ def build_specs(*, scale: float = 1.0, seed: int = MASTER_SEED) -> SweepSpec:
         seed=seed,
         series=(CellSeries("beta_hat", beta_hat, round_to=4),),
         notes=notes,
-        # Each beta synthesises and estimates its own trace from a pure
-        # stream label — the x grid itself shards across the pool.
-        parallel_rows=True,
     )
 
 

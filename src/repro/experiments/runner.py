@@ -3,15 +3,17 @@
 Figure panels themselves are declared as :class:`~repro.experiments.sweeps.SweepSpec`
 objects and executed by :func:`repro.experiments.sweeps.run_panel`; this
 module holds what every layer shares — the :class:`ExperimentResult`
-table, the registry mapping figure names to modules, and
-:func:`run_experiment`, the harness entry point that routes a figure run
-through the sharded engine via the session ``workers`` default.
+table, the registry mapping figure names to modules,
+:func:`run_experiment`, the harness entry point that runs one figure
+in-process, and :func:`timed_experiment`, the task ``run all`` hands the
+executor once per figure.
 """
 
 from __future__ import annotations
 
 import contextlib
 import importlib
+import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -22,6 +24,7 @@ from repro.core.variance import instance_means
 from repro.errors import ParameterError
 from repro.utils.rng import stream_for
 from repro.utils.tables import format_series_table
+from repro.utils.validation import require_probability
 
 
 @dataclass(frozen=True)
@@ -78,40 +81,25 @@ def median_instance_means(
 
 
 @contextlib.contextmanager
-def execution_scope(*, workers: int | None = None, runtime: str | None = None,
-                    schedule: str | None = None,
+def execution_scope(*, workers: int | None = None,
                     telemetry: bool | None = None):
-    """The CLI's run context: workers default + pool runtime + telemetry.
+    """The CLI's run context: workers default + telemetry.
 
     One scope serves every harness entry point (figure runs, scenario
-    campaigns): ``workers`` becomes the session sharding default for the
-    block, ``runtime="persistent"`` keeps one worker pool alive across
-    every parallel region inside it (``None`` consults
-    ``REPRO_RUNTIME``), ``schedule`` sets the session cell-scheduling
-    mode — ``"cells"``, ``"ensembles"``, or ``"auto"`` (``None``
-    consults ``REPRO_SCHEDULE``), and ``telemetry=True`` turns on
-    span/metric recording for the block (``None`` consults
-    ``REPRO_TELEMETRY``).  Results never depend on any of them — the
-    scope is purely a wall-clock lever.
+    campaigns): ``workers`` becomes the session worker default for the
+    block — how many figures or campaign cells run at a time — and
+    ``telemetry=True`` turns on span/metric recording for the block
+    (``None`` consults ``REPRO_TELEMETRY``).  Results never depend on
+    either: the scope is purely a wall-clock lever.
     """
     import repro.obs as obs
-    from repro.parallel import default_schedule, default_workers
-    from repro.parallel.runtime import pool_runtime, runtime_mode_from_env
+    from repro.parallel import default_workers
 
-    mode = runtime if runtime is not None else runtime_mode_from_env()
-    if mode not in ("persistent", "fresh"):
-        raise ParameterError(
-            f"runtime must be 'persistent' or 'fresh', got {mode!r}"
-        )
-    pool_scope = (
-        pool_runtime() if mode == "persistent" else contextlib.nullcontext()
-    )
     telemetry_scope = (
         obs.telemetry(telemetry) if telemetry is not None
         else contextlib.nullcontext()
     )
-    with pool_scope, default_workers(workers), default_schedule(schedule), \
-            telemetry_scope:
+    with default_workers(workers), telemetry_scope:
         yield
 
 
@@ -135,25 +123,33 @@ def run_experiment(
     seed: int | None = None,
     workers: int | None = None,
 ) -> list[ExperimentResult]:
-    """Run one figure's experiment; returns its panels.
+    """Run one figure's experiment in-process; returns its panels.
 
-    ``workers`` routes every ensemble the experiment runs through the
-    sharded engine (:mod:`repro.parallel`) for the duration of the run.
-    Results are bit-identical to ``workers=1`` — parallelism is purely a
-    wall-clock lever, so figure outputs never depend on the machine.
+    ``scale`` must lie in (0, 1].  ``workers`` is validated but changes
+    nothing inside one figure — whole figures are the parallel grain
+    (``run all --workers N``); the parameter stays only because
+    ``perfbench/workloads.py`` passes it.
     """
     if name not in _REGISTRY:
         raise ParameterError(
             f"unknown experiment {name!r}; available: {available_experiments()}"
         )
-    from repro.parallel import default_workers
+    from repro.parallel import resolve_workers
 
+    resolve_workers(workers)
+    require_probability("scale", scale)
     module = importlib.import_module(_REGISTRY[name])
     kwargs = {"scale": scale}
     if seed is not None:
         kwargs["seed"] = seed
-    with default_workers(workers):
-        results = module.run(**kwargs)
+    results = module.run(**kwargs)
     if isinstance(results, ExperimentResult):
         return [results]
     return list(results)
+
+
+def timed_experiment(name: str, scale: float, seed: int | None):
+    """One ``run all`` task: a figure's panels and its compute seconds."""
+    start = time.perf_counter()
+    panels = run_experiment(name, scale=scale, seed=seed)
+    return panels, time.perf_counter() - start

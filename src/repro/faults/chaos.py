@@ -5,23 +5,22 @@ failure mode the fault-tolerant stack claims to survive, and asserts the
 strongest property the repo has: the final store is *byte-identical* to
 the fault-free ``workers=1`` run.
 
-The script runs six acts:
+The script runs five acts:
 
 1. a fault-free ``workers=1`` reference campaign (the golden bytes);
-2. the same campaign at ``workers=2`` under an injected plan — one
-   worker kill that recovery absorbs, one shard delayed past its
-   deadline that a retry absorbs, and one kill on *every* attempt that
-   exhausts the retry budget and quarantines its cell;
+2. the same campaign at ``workers=2`` under an injected plan, on cell
+   numbering (shard ``k`` is cell ``k``: the campaign dispatches its
+   cells in one call) — one worker kill that recovery absorbs, one cell
+   delayed past its deadline that a retry absorbs, and one kill on
+   *every* attempt that exhausts the retry budget and quarantines its
+   cell;
 3. a fault-free ``--resume`` that must re-attempt exactly the
    quarantined cell (``executed == retried cells only``) and converge
    the store to the reference bytes, manifest included;
-4. a torn store append (kill mid-write) that aborts the run, followed by
-   a resume whose tail repair again converges to the reference bytes;
-5. the campaign again under ``schedule="cells"`` — the cell list itself
-   sharded across the pool — with one absorbed cell-worker kill and one
-   budget-exhausting kill, whose quarantine-then-resume must converge
-   to the same reference bytes;
-6. a corrupted final append (CRC-failing line) whose resume must repair
+4. a torn store append (kill mid-write) at ``workers=2`` that aborts
+   the run with exactly the records before it committed, followed by a
+   resume whose tail repair again converges to the reference bytes;
+5. a corrupted final append (CRC-failing line) whose resume must repair
    the tail, re-execute exactly that cell, and converge byte-exactly.
 
 The faulted acts run inside an ``obs.telemetry()`` scope and assert the
@@ -55,14 +54,10 @@ from repro.parallel.executor import RetryPolicy
 SCENARIOS = ["fgn-hurst-sweep"]
 CAMPAIGN = "chaos"
 
-#: Under ``schedule="ensembles"`` with ``workers=2`` each cell's
-#: ensemble is one 2-task dispatch, so cell k owns shards 2k and 2k+1:
-#: shard 0 -> cell 0, shard 2 -> cell 1, shard 4 -> cell 2.
+#: The campaign dispatches its 6 smoke cells in one call, so shard ``k``
+#: is cell ``k``: an absorbed kill on cell 0, a deadline-blowing delay on
+#: cell 2, and a kill on every attempt of cell 4 (budget exhaustion).
 FAULTS = "kill:shard=0,delay:shard=2:seconds=5,kill:shard=4:attempt=*"
-
-#: Under ``schedule="cells"`` the 6 smoke cells fit one round, so shard
-#: k *is* cell k: an absorbed kill on cell 1, budget exhaustion on cell 3.
-CELL_FAULTS = "kill:shard=1,kill:shard=3:attempt=*"
 
 #: Deadline generous enough for a smoke cell's real work on a busy
 #: machine, tight enough that the injected 5 s delay always blows it.
@@ -108,7 +103,7 @@ def main(argv=None) -> int:
         with obs.telemetry() as col, fault_plan(FAULTS):
             faulty = run_campaign(
                 SCENARIOS, campaign=CAMPAIGN, results_dir=base / "run",
-                smoke=True, workers=2, retry=RETRY, schedule="ensembles",
+                smoke=True, workers=2, retry=RETRY,
             )
         print(f"faulty:    {faulty.render()}")
         assert faulty.quarantined == 1, (
@@ -121,9 +116,8 @@ def main(argv=None) -> int:
         )
         assert faulty.store.quarantine_path.exists()
         # Every injected fault must be visible in telemetry.  Supersets,
-        # not equality: a kill takes collateral shards (the pool sibling)
-        # down with it, and the delayed shard's deadline retry may also
-        # retry neighbours on a loaded machine.
+        # not equality: a kill or a recycle takes the cell in flight on
+        # the other worker down with it, and that cell is retried too.
         lost = _event_shards(col, "executor.worker_lost")
         retried = _event_shards(col, "executor.shard_retry")
         exhausted = _event_shards(col, "executor.retry_budget_exhausted")
@@ -137,13 +131,20 @@ def main(argv=None) -> int:
         assert _event_count(col, "campaign.quarantine") == 1, (
             "the exhausted cell must surface as one quarantine event"
         )
+        # A killed attempt loses its in-worker span buffer by design; the
+        # replacement attempt's spans are the record — so every *executed*
+        # cell contributes exactly one drained "cell" span.
+        cell_spans = sum(1 for s in col.spans if s["name"] == "cell")
+        assert cell_spans == faulty.executed, (
+            f"expected one drained cell span per executed cell, got "
+            f"{cell_spans} for {faulty.executed} executed"
+        )
 
         # Act 3 — fault-free resume: exactly the quarantined cell runs.
         with fault_plan(None):
             resumed = run_campaign(
                 SCENARIOS, campaign=CAMPAIGN, results_dir=base / "run",
                 smoke=True, workers=2, resume=True, retry=RETRY,
-                schedule="ensembles",
             )
         print(f"resumed:   {resumed.render()}")
         assert resumed.executed == 1, (
@@ -159,20 +160,25 @@ def main(argv=None) -> int:
         print("act 3: quarantine + resume converged byte-identically")
 
         # Act 4 — torn write aborts like a kill; resume repairs the tail.
+        # At workers=2 the records before the torn one are committed in
+        # canonical order, whatever order their cells finished in.
         with fault_plan("torn:append=3"):
             try:
                 run_campaign(
                     SCENARIOS, campaign=CAMPAIGN, results_dir=base / "torn",
-                    smoke=True, workers=1,
+                    smoke=True, workers=2,
                 )
             except InjectedFault as exc:
                 print(f"torn:      aborted as intended ({exc})")
             else:
                 raise AssertionError("torn append did not abort the campaign")
+        assert not multiprocessing.active_children(), (
+            "the aborted campaign left its worker pool running"
+        )
         with obs.telemetry() as col, fault_plan(None):
             repaired = run_campaign(
                 SCENARIOS, campaign=CAMPAIGN, results_dir=base / "torn",
-                smoke=True, workers=1, resume=True,
+                smoke=True, workers=2, resume=True,
             )
         print(f"repaired:  {repaired.render()}")
         assert repaired.skipped == 2, (
@@ -188,53 +194,7 @@ def main(argv=None) -> int:
         )
         print("act 4: torn tail + resume converged byte-identically")
 
-        # Act 5 — cell-level scheduling: the pending-cell list itself is
-        # sharded across the pool, and the same fault classes must be
-        # absorbed/quarantined at cell granularity.
-        with obs.telemetry() as col, fault_plan(CELL_FAULTS):
-            scheduled = run_campaign(
-                SCENARIOS, campaign=CAMPAIGN, results_dir=base / "cells",
-                smoke=True, workers=2, retry=RETRY, schedule="cells",
-            )
-        print(f"scheduled: {scheduled.render()}")
-        assert scheduled.quarantined == 1, (
-            f"cell scheduling: expected exactly the budget-exhausted cell "
-            f"quarantined, got {scheduled.quarantined}"
-        )
-        assert scheduled.executed == scheduled.n_cells - 1, (
-            "cell scheduling: the single kill must be absorbed by a retry, "
-            f"executed {scheduled.executed}/{scheduled.n_cells}"
-        )
-        lost = _event_shards(col, "executor.worker_lost")
-        exhausted = _event_shards(col, "executor.retry_budget_exhausted")
-        assert lost >= {1, 3}, f"cell kills missing from worker_lost: {lost}"
-        assert exhausted == {3}, (
-            f"only the attempt=* cell may exhaust its budget: {exhausted}"
-        )
-        # A killed attempt loses its in-worker span buffer by design; the
-        # replacement attempt's spans are the record — so every *executed*
-        # cell contributes exactly one drained "cell" span.
-        cell_spans = sum(1 for s in col.spans if s["name"] == "cell")
-        assert cell_spans == scheduled.executed, (
-            f"expected one drained cell span per executed cell, got "
-            f"{cell_spans} for {scheduled.executed} executed"
-        )
-        with fault_plan(None):
-            converged = run_campaign(
-                SCENARIOS, campaign=CAMPAIGN, results_dir=base / "cells",
-                smoke=True, workers=2, resume=True, retry=RETRY,
-                schedule="cells",
-            )
-        print(f"converged: {converged.render()}")
-        assert converged.executed == 1
-        assert not converged.store.quarantine_path.exists()
-        assert _store_bytes(converged) == (ref_results, ref_manifest), (
-            "cell-scheduled store is not byte-identical to the fault-free "
-            "workers=1 run"
-        )
-        print("act 5: cell-scheduled kills + resume converged byte-identically")
-
-        # Act 6 — a CRC-failing final record: the campaign completes (the
+        # Act 5 — a CRC-failing final record: the campaign completes (the
         # corruption is silent at write time), the resume must detect the
         # bad tail line, repair it, and re-execute exactly that cell.
         with fault_plan("corrupt:append=6"):
@@ -259,7 +219,7 @@ def main(argv=None) -> int:
             "corrupt-then-resumed store is not byte-identical to the "
             "fault-free workers=1 run"
         )
-        print("act 6: corrupt tail + resume converged byte-identically")
+        print("act 5: corrupt tail + resume converged byte-identically")
 
     # Nothing above may leak worker processes — chaos runs recycle pools
     # aggressively, and every recycle must reap its corpses.

@@ -22,9 +22,9 @@ Shard indices are global across a plan's scope: activating a plan (the
 :func:`repro.faults.fault_plan` context, or the lazy ``REPRO_FAULTS``
 session plan) resets the session shard counter to zero, and every task
 any ``run_shards`` call dispatches — parallel or serial — claims the
-next index.  Because shard planning is deterministic, the same campaign
-always numbers its shards identically, so a directive names the same
-unit of work on every run.
+next index.  A campaign dispatches its pending cells in one call, in
+canonical order, so shard ``k`` is its ``k``-th pending cell and a
+directive names the same unit of work on every run.
 
 Everything here is a pure value: a :class:`FaultPlan` is picklable (it
 rides to pool workers inside the task arguments) and directive matching
@@ -213,9 +213,9 @@ def call_with_faults(plan: FaultPlan, shard: int, attempt: int,
                      in_worker: bool, fn, args):
     """Worker-side shim: apply any matching directive, then run the shard.
 
-    Module-level so it pickles into both fresh and persistent pools; the
-    plan travels in the arguments, never via inherited globals, so
-    workers forked before the plan existed still see it.  ``kill``
+    Module-level so it pickles into the pool's task arguments; the plan
+    travels in the arguments, never via inherited globals, so workers
+    forked before the plan existed still see it.  ``kill``
     directives only fire inside a real pool worker (``in_worker``) — on
     the serial path there is no worker to kill and exiting would take
     the session down, which is precisely not the failure being modelled.

@@ -57,7 +57,7 @@ def load_runs(path) -> list[dict]:
 def _meta_line(run: dict) -> str:
     meta = run["meta"]
     parts = [f"campaign={meta.get('campaign', '?')}"]
-    for key in ("workers", "schedule", "seed", "smoke"):
+    for key in ("workers", "seed", "smoke"):
         if key in meta:
             parts.append(f"{key}={meta[key]}")
     return "  ".join(parts)
@@ -172,7 +172,7 @@ def render_timeline(run: dict) -> str:
                          attrs.get("idle_fraction"), attrs.get("imbalance")])
         blocks.append(format_table(
             ["round", "cells", "wall_s", "busy_s", "idle_frac", "imbalance"],
-            rows, title="scheduler rounds",
+            rows, title="cell dispatch",
         ))
 
     util = [f"wall: {wall:.3f} s   workers: {workers}"]

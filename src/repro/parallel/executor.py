@@ -1,11 +1,15 @@
 """Worker-pool executor: serial fallback, session defaults, supervision.
 
 ``run_shards`` is the only place in the library that touches
-``multiprocessing``: every parallel entry point hands it a module-level
-worker function plus one argument tuple per shard and gets the per-shard
-results back *in shard order*.  ``workers=1`` (the default) never creates
-a pool — the tasks run in-process, in order, so the serial path is the
-parallel path with a trivial plan, not a separate code branch.
+``multiprocessing``.  A caller hands it a module-level worker function
+plus one argument tuple per task, and iterates the results *in task
+order*, each as soon as it and every task before it have finished.  The
+library dispatches whole units of the paper's evaluation this way, once
+per command: the pending cells of a campaign
+(:mod:`repro.scenarios.schedule`) and the figures of ``run all``.
+``workers=1`` (the default) never creates a pool — the tasks run
+in-process, in order, so the serial path is the parallel path with one
+worker, not a separate code branch.
 
 If a pool cannot be created (sandboxed environments without working
 semaphores, platforms without ``fork``), execution degrades to the
@@ -21,26 +25,26 @@ silently running serial); the ``--workers`` CLI flag and the
 
 Fault tolerance (the supervision layer)
 ---------------------------------------
-Every pool dispatch is *supervised*: instead of one blocking
-``starmap``, shards go out as individual async tasks and the parent
-watches the pool's worker processes while it collects results.  A worker
-that dies (killed, OOM, segfault) or a shard that misses the
-:class:`RetryPolicy` deadline does not hang or poison the session — the
-pool is recycled and only the affected shards are re-executed, with
-bounded exponential backoff, up to the policy's attempt budget.  Shard
-tasks are pure functions of their argument tuples (RNG streams are
-spawned in the parent), so a retried shard is bit-identical to an
-undisturbed one; supervision can never change a result, only rescue it.
-A shard still failing after its last attempt raises
-:class:`~repro.errors.RetryBudgetError`, which the campaign layer turns
-into a quarantined cell instead of an aborted run.
+Every pool dispatch is *supervised*.  At most one task per worker is in
+flight: the next task goes out when a worker frees, so a task's
+:class:`RetryPolicy` deadline runs from when it could start, never over
+time it spent queued.  The parent polls every in-flight task while it
+watches the pool's worker processes.  A worker that dies (killed, OOM,
+segfault) or a task that misses its deadline does not hang the call —
+the pool is recycled and the tasks that were in flight are re-executed,
+each on its own, with bounded exponential backoff, up to the policy's
+attempt budget.  Tasks are pure functions of their argument tuples, so
+a retried task is bit-identical to an undisturbed one; supervision can
+never change a result, only rescue it.  A task still failing after its
+last attempt raises :class:`~repro.errors.RetryBudgetError`, which the
+campaign layer turns into a quarantined cell instead of an aborted run.
 
 Dispatch under ``RetryPolicy(max_attempts=1)`` is supervised too; the
-budget only forbids retries, so a lost shard raises at once instead of
+budget only forbids retries, so a lost task raises at once instead of
 hanging the call.  Deterministic fault *injection* — the tooling that
 proves all of this on every CI run — lives in :mod:`repro.faults`; when
-a fault plan is active, shard dispatch routes through its picklable
-wrapper so directives fire inside the workers.
+a fault plan is active, dispatch routes through its picklable wrapper so
+directives fire inside the workers.
 """
 
 from __future__ import annotations
@@ -48,6 +52,8 @@ from __future__ import annotations
 import contextlib
 import multiprocessing
 import os
+import queue as queue_module
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -169,10 +175,9 @@ def suggested_workers() -> int:
 def pool_start_method() -> str:
     """Start method ``run_shards`` will use for its pools.
 
-    Fork is preferred — it is cheap and lets children inherit the
-    parent's published trace buffers outright (the zero-copy ``inherit``
-    backend); elsewhere the platform default applies and shared memory
-    carries the traces instead.
+    Fork is preferred — it is cheap, and the workers start with the
+    parent's imports already loaded; elsewhere the platform default
+    applies.
     """
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else multiprocessing.get_start_method()
@@ -181,11 +186,10 @@ def pool_start_method() -> str:
 def machine_metadata() -> dict:
     """What a reader needs to interpret this machine's recorded numbers.
 
-    Stamped into every ``BENCH_*`` report header and scenario-campaign
-    manifest: parallel-scaling rows measured on a single-core container
-    say something entirely different from the same rows on a 16-core
-    box, and the pool start method decides which zero-copy backend a
-    recorded run exercised.
+    Stamped into every benchmark header and scenario-campaign manifest:
+    parallel-scaling rows measured on a single-core container say
+    something entirely different from the same rows on a 16-core box,
+    and the pool start method decides how workers come up.
     """
     import platform
 
@@ -197,120 +201,9 @@ def machine_metadata() -> dict:
     }
 
 
-#: Campaign scheduling modes — where the unit of parallel dispatch sits.
-#: ``"ensembles"`` parallelises inside each cell (the historical
-#: behaviour), ``"cells"`` shards the campaign's pending-cell list
-#: itself, ``"auto"`` lets the planner pick per campaign.
-SCHEDULE_MODES = ("auto", "cells", "ensembles")
-
-#: Session-wide schedule mode: seeded lazily from ``REPRO_SCHEDULE``
-#: (None = not yet read), overridden by ``--schedule`` at the CLI.
-_DEFAULT_SCHEDULE: str | None = None
-
-#: Provenance of the session schedule mode (see ``_WORKERS_SOURCE``).
-_SCHEDULE_SOURCE = "default"
-
-
-def _validate_schedule(mode) -> str:
-    if not isinstance(mode, str) or mode not in SCHEDULE_MODES:
-        raise ParameterError(
-            f"schedule must be one of {list(SCHEDULE_MODES)}, got {mode!r}"
-        )
-    return mode
-
-
-def _schedule_from_env() -> str:
-    """Session default from ``REPRO_SCHEDULE`` (``"auto"`` when unset).
-
-    Same contract as ``REPRO_WORKERS``: a malformed value raises
-    :class:`ParameterError` naming the variable — a user who exported
-    ``REPRO_SCHEDULE=cell`` asked for cell scheduling and must not
-    silently get something else.  Read lazily on first consultation.
-    """
-    raw = os.environ.get("REPRO_SCHEDULE")
-    if raw is None:
-        return "auto"
-    value = raw.strip().lower()
-    if value == "":
-        return "auto"
-    if value in SCHEDULE_MODES:
-        return value
-    raise ParameterError(
-        f"invalid REPRO_SCHEDULE={raw!r}: expected one of "
-        f"{list(SCHEDULE_MODES)} (unset the variable for the 'auto' default)"
-    )
-
-
-def set_default_schedule(mode: str, *, _source: str = "cli") -> None:
-    """Set the session schedule mode used when a call site passes ``None``."""
-    global _DEFAULT_SCHEDULE, _SCHEDULE_SOURCE
-    _DEFAULT_SCHEDULE = _validate_schedule(mode)
-    _SCHEDULE_SOURCE = _source
-
-
-def get_default_schedule() -> str:
-    """Current session schedule mode (reads ``REPRO_SCHEDULE`` once)."""
-    global _DEFAULT_SCHEDULE, _SCHEDULE_SOURCE
-    if _DEFAULT_SCHEDULE is None:
-        _DEFAULT_SCHEDULE = _schedule_from_env()
-        _SCHEDULE_SOURCE = (
-            "env" if os.environ.get("REPRO_SCHEDULE") is not None else "default"
-        )
-    return _DEFAULT_SCHEDULE
-
-
-def schedule_provenance() -> str:
-    """Where the effective schedule mode came from (``runtime`` CLI)."""
-    get_default_schedule()
-    return _SCHEDULE_SOURCE
-
-
-@contextlib.contextmanager
-def default_schedule(mode: str | None):
-    """Temporarily set the session schedule mode (no-op when ``None``).
-
-    Like :func:`default_workers`, the raw slot is saved and restored
-    unresolved, so an explicit mode wins over a malformed env value and
-    the env error still fires when the default is genuinely consulted.
-    """
-    global _DEFAULT_SCHEDULE, _SCHEDULE_SOURCE
-    if mode is None:
-        yield
-        return
-    previous = _DEFAULT_SCHEDULE  # may be the unread-env sentinel (None)
-    previous_source = _SCHEDULE_SOURCE
-    set_default_schedule(mode, _source="context")
-    try:
-        yield
-    finally:
-        _DEFAULT_SCHEDULE = previous
-        _SCHEDULE_SOURCE = previous_source
-
-
-def resolve_schedule(mode: str | None) -> str:
-    """Normalise a ``schedule`` argument: ``None`` means the session default."""
-    if mode is None:
-        return get_default_schedule()
-    return _validate_schedule(mode)
-
-
 #: Exceptions meaning "no working pool in this environment" (missing
 #: semaphores, daemonic parent, unsupported start method, ...).
 _POOL_CREATION_ERRORS = (OSError, ValueError, RuntimeError, AssertionError)
-
-
-def _create_pool(method: str, processes: int):
-    """The one pool-creation recipe every dispatch path shares.
-
-    Both the fresh-pool path below and the persistent
-    :class:`repro.parallel.runtime.PoolRuntime` create their pools here,
-    so the two can never diverge on context or error handling; callers
-    catch :data:`_POOL_CREATION_ERRORS`.
-    """
-    ctx = multiprocessing.get_context(method)
-    pool = ctx.Pool(processes=processes)
-    obs.count("executor.pool_forks")
-    return pool
 
 
 #: ``warn_once`` key for the serial-degradation diagnostic.
@@ -332,14 +225,15 @@ def _warn_pool_failure(exc: BaseException) -> None:
 class RetryPolicy:
     """How supervised dispatch handles lost, hung, and failing shards.
 
-    ``max_attempts`` is the per-shard budget: the first execution is
-    attempt 1, so ``max_attempts=1`` means "never retry" — a lost shard
+    ``max_attempts`` is the per-task budget: the first execution is
+    attempt 1, so ``max_attempts=1`` means "never retry" — a lost task
     raises :class:`~repro.errors.RetryBudgetError` at once.
-    ``shard_deadline`` (seconds,
-    measured per dispatch round) marks shards still running past it as
-    :class:`~repro.errors.ShardDeadlineError` candidates for retry.
-    Between retry rounds the supervisor recycles the pool and sleeps
-    ``min(backoff_base * 2**(round-1), backoff_cap)`` seconds.
+    ``shard_deadline`` (seconds, measured from the moment a worker takes
+    the task) marks a task still running past it as a
+    :class:`~repro.errors.ShardDeadlineError` candidate for retry.  After
+    a loss the supervisor recycles the pool, and before a task's
+    attempt ``a`` it sleeps ``min(backoff_base * 2**(a-2), backoff_cap)``
+    seconds.
     """
 
     max_attempts: int = 3
@@ -414,9 +308,9 @@ def resolve_retry_policy(policy: RetryPolicy | None) -> RetryPolicy:
     return _validate_policy(policy)
 
 
-#: Poll interval of the supervision loop (seconds).  Coarse enough to be
-#: invisible next to real shard work, fine enough that worker death and
-#: deadline overruns are noticed promptly.
+#: Poll interval of the supervision loop (seconds).  A finished task
+#: wakes the loop at once; the interval only bounds how late a worker
+#: death or a missed deadline is noticed.
 _POLL_INTERVAL = 0.02
 
 
@@ -464,9 +358,16 @@ def _shutdown_pool(pool) -> None:
     feeding the worker a sentinel.  Killing that worker pre-emptively
     would wedge the very teardown this function exists to protect, so
     escalation waits for the cooperative path to prove itself stuck.
-    Teardown only ever happens after the batch's results are collected
+    Teardown only ever happens after the call's results are collected
     or written off, so no result of value can be lost either way.
+
+    A dispatch left open until the interpreter exits is finalized after
+    ``multiprocessing``'s own exit handler has terminated its pool, at a
+    point where no new thread can start (``Thread.start`` would wait
+    forever), so teardown is skipped there.
     """
+    if sys.is_finalizing():
+        return
 
     def _terminate():
         try:
@@ -490,236 +391,265 @@ def _shutdown_pool(pool) -> None:
     pool.join()
 
 
-class _FreshPoolProvider:
-    """Supervision's view of a throwaway per-call pool."""
-
-    pool_errors = _POOL_CREATION_ERRORS
-
-    def __init__(self, method: str, processes: int):
-        self._method = method
-        self._processes = processes
-        self._pool = None
-
-    def pool(self):
-        if self._pool is None:
-            self._pool = _create_pool(self._method, self._processes)
-        return self._pool
-
-    def worker_state(self) -> frozenset:
-        return _pool_worker_state(self._pool) if self._pool is not None else frozenset()
-
-    def recycle(self) -> None:
-        if self._pool is not None:
-            _shutdown_pool(self._pool)
-            self._pool = None
-
-    close = recycle
-
-
 def _call_shard(fn, task, plan, shard: int, attempt: int, *, in_worker: bool):
-    """Run one shard in-process, honouring any active fault plan."""
+    """Run one task in-process, honouring any active fault plan."""
     if plan is not None and plan.has_shard_faults():
         return call_with_faults(plan, shard, attempt, in_worker, fn, tuple(task))
     return fn(*task)
 
 
-def _dispatch_shard(pool, fn, task, plan, shard: int, attempt: int):
-    """Send one shard to the pool, wrapped for fault injection if needed.
+class _PoolUnavailable(Exception):
+    """No pool could be (re)created; the caller finishes serially."""
 
-    The fault plan rides in the pickled arguments — never via inherited
-    globals — so workers forked before the plan existed still honour it.
+
+class _Supervisor:
+    """One supervised pool dispatch: at most one task per worker in flight.
+
+    A task goes out only when a worker is free for it, so its deadline
+    runs from when it can start, and every in-flight task is watched,
+    not only the oldest.  A worker death or a missed deadline recycles
+    the pool, and every task then in flight is *lost*: it re-runs alone
+    in the pool (single-flight), so a further death or overrun is
+    attributable to exactly that task.  Collateral loss therefore costs
+    an innocent task one attempt at most, and only a task that keeps
+    failing on its own exhausts its budget.
     """
-    if plan is not None and plan.has_shard_faults():
-        return pool.apply_async(
-            call_with_faults, (plan, shard, attempt, True, fn, tuple(task))
+
+    def __init__(self, fn, tasks, *, processes: int, policy: RetryPolicy,
+                 plan, base: int):
+        self.fn = fn
+        self.tasks = tasks
+        self.processes = processes
+        self.policy = policy
+        self.plan = plan
+        self.base = base
+        self.attempts = [0] * len(tasks)
+        self.pool = None
+        self.workers_before = frozenset()
+        # The pool's completion callbacks deliver ``(token, ok, value)``
+        # here, so a finished task wakes ``wait`` at once.  A token names
+        # one attempt of one task; a stale one, from a pool that was
+        # recycled under it, matches no in-flight entry.
+        self.done: queue_module.SimpleQueue = queue_module.SimpleQueue()
+
+    def ensure_pool(self) -> None:
+        if self.pool is not None:
+            return
+        try:
+            ctx = multiprocessing.get_context(pool_start_method())
+            self.pool = ctx.Pool(processes=self.processes)
+        except _POOL_CREATION_ERRORS as exc:
+            raise _PoolUnavailable() from exc
+        obs.count("executor.pool_forks")
+        self.workers_before = _pool_worker_state(self.pool)
+
+    def recycle(self) -> None:
+        if self.pool is not None:
+            _shutdown_pool(self.pool)
+            self.pool = None
+
+    def submit(self, i: int) -> tuple:
+        """Send task ``i`` to the pool; returns ``(token, started)``.
+
+        The fault plan rides in the pickled arguments — never via
+        inherited globals — so injected faults fire inside the worker.
+        """
+        self.attempts[i] += 1
+        shard, attempt = self.base + i, self.attempts[i]
+        if attempt > 1:
+            obs.event("executor.shard_retry", shard=shard, attempt=attempt)
+            obs.count("executor.retries")
+        if self.plan is not None and self.plan.has_shard_faults():
+            fn, args = call_with_faults, (self.plan, shard, attempt, True,
+                                          self.fn, tuple(self.tasks[i]))
+        else:
+            fn, args = self.fn, tuple(self.tasks[i])
+        token = (i, attempt)
+        self.pool.apply_async(
+            fn, args,
+            callback=lambda value: self.done.put((token, True, value)),
+            error_callback=lambda exc: self.done.put((token, False, exc)),
         )
-    return pool.apply_async(fn, tuple(task))
+        return token, time.monotonic()
 
+    def wait(self, inflight: dict) -> tuple[dict, dict]:
+        """Block until in-flight tasks finish or the pool is lost.
 
-def _supervise(fn, tasks, *, policy: RetryPolicy, plan, base: int, provider,
-               collect_errors: bool = False) -> list:
-    """Supervised dispatch: async shards, a watchdog, and bounded retries.
-
-    The first round dispatches every shard with ``apply_async`` and
-    polls for results while watching the pool's worker processes.  A
-    worker death marks the round's uncollected shards lost (an already
-    ``ready()`` result is always collected first — completed work is
-    never discarded); a shard running past ``policy.shard_deadline``
-    (measured from its dispatch) is marked the same way.  Lost shards
-    trigger a pool recycle and a backed-off retry round of *only* those
-    shards — re-execution is bit-identical because shard tasks are pure
-    functions of their arguments.
-
-    Retry rounds go **single-flight**: one shard in the pool at a time,
-    so a worker death (or deadline miss) is attributable to exactly the
-    shard that was running.  Collateral loss can therefore only cost a
-    shard its first-round attempt — an innocent shard that shared round
-    zero with a poisonous one retries in isolation and succeeds, and
-    only genuinely failing shards ever exhaust their budgets.
-
-    A shard with no attempts left raises
-    :class:`~repro.errors.RetryBudgetError` (after the recycle, so a
-    persistent session is not poisoned); exceptions raised *by* the
-    shard function propagate unchanged, as on every other path.  With
-    ``collect_errors=True`` an exhausted shard does not abort the call:
-    its slot in the result list holds the
-    :class:`~repro.errors.RetryBudgetError` instance and the remaining
-    shards keep running.  The campaign layer uses this to quarantine
-    exactly the failing cell.
-
-    If the pool cannot be (re)created, the round's remaining shards
-    finish serially in-process — same degradation, same one-time
-    warning, as a pool that fails to start.
-    """
-    results: list = [None] * len(tasks)
-    attempts = [0] * len(tasks)
-    pending = list(range(len(tasks)))
-    round_no = 0
-    while pending:
-        if round_no > 0:
-            time.sleep(
-                min(policy.backoff_base * 2 ** (round_no - 1), policy.backoff_cap)
+        ``inflight`` maps task index to ``(token, started)``.  Returns
+        ``(finished, lost)``: the results of the tasks that finished (a
+        task's own exception propagates from here) and, when a worker
+        died or a task ran past its deadline, the error every other
+        in-flight task was lost with; the pool is then recycled.  A
+        result that has arrived is always kept, even beside a loss.
+        """
+        finished: dict = {}
+        while not finished:
+            block = True
+            while True:
+                try:
+                    token, ok, value = self.done.get(block, _POLL_INTERVAL)
+                except queue_module.Empty:
+                    break
+                block = False
+                i = token[0]
+                if i in inflight and inflight[i][0] == token:
+                    if not ok:
+                        raise value
+                    finished[i] = value
+            lost = self._losses(
+                {i: entry for i, entry in inflight.items() if i not in finished}
             )
-        batches = [list(pending)] if round_no == 0 else [[i] for i in pending]
-        lost: dict = {}
-        for b, batch in enumerate(batches):
+            if lost:
+                return finished, lost
+        return finished, {}
+
+    def _losses(self, pending: dict) -> dict:
+        """Errors for ``pending`` if a worker died or a task is overdue."""
+        died = _pool_worker_state(self.pool) != self.workers_before
+        deadline = self.policy.shard_deadline
+        now = time.monotonic()
+        overdue = set() if died or deadline is None else {
+            i for i, (_, started) in pending.items() if now - started >= deadline
+        }
+        if not (died or overdue):
+            return {}
+        lost = {i: self._loss(i, overdue) for i in pending}
+        self.recycle()
+        obs.event("executor.pool_recycle")
+        obs.count("executor.pool_recycles")
+        return lost
+
+    def _loss(self, i: int, overdue: set) -> Exception:
+        shard, attempt = self.base + i, self.attempts[i]
+        budget = f"attempt {attempt} of {self.policy.max_attempts}"
+        if i in overdue:
+            obs.event("executor.shard_deadline", shard=shard, attempt=attempt)
+            obs.count("executor.deadline_misses")
+            return ShardDeadlineError(
+                f"shard {shard} missed its {self.policy.shard_deadline:g}s "
+                f"deadline ({budget})"
+            )
+        obs.event("executor.worker_lost", shard=shard, attempt=attempt)
+        obs.count("executor.worker_losses")
+        cause = ("lost when the pool was recycled" if overdue
+                 else "lost to a dead pool worker")
+        return WorkerLostError(f"shard {shard} {cause} ({budget})")
+
+    def retry(self, i: int, error: Exception, *, collect_errors: bool):
+        """Re-run lost task ``i`` alone until it succeeds or its budget ends.
+
+        Sleeps ``min(backoff_base * 2**(attempt-2), backoff_cap)`` before
+        each attempt.  An exhausted task raises
+        :class:`~repro.errors.RetryBudgetError` — or, with
+        ``collect_errors``, returns it as the task's result.
+        """
+        policy = self.policy
+        while self.attempts[i] < policy.max_attempts:
+            time.sleep(min(policy.backoff_base * 2 ** (self.attempts[i] - 1),
+                           policy.backoff_cap))
+            self.ensure_pool()
+            finished, lost = self.wait({i: self.submit(i)})
+            if finished:
+                return finished[i]
+            error = lost[i]
+        obs.event("executor.retry_budget_exhausted", shard=self.base + i,
+                  attempts=self.attempts[i])
+        obs.count("executor.budget_exhaustions")
+        exhausted = RetryBudgetError(
+            f"shard {self.base + i} still failing after "
+            f"{policy.max_attempts} attempt(s): {error}"
+        )
+        if not collect_errors:
+            raise exhausted
+        return exhausted
+
+
+def _supervise(fn, tasks, *, processes: int, policy: RetryPolicy, plan,
+               base: int, collect_errors: bool):
+    """Supervised pool dispatch, yielding results in task order.
+
+    Tasks go out in task order, at most ``processes`` at a time; each
+    result is yielded as soon as it and every task before it are done.
+    If the pool cannot be (re)created, every task not yet finished runs
+    serially in-process instead — the same degradation, and the same
+    one-time warning, as a pool that fails to start.
+    """
+    sup = _Supervisor(fn, tasks, processes=processes, policy=policy,
+                      plan=plan, base=base)
+    results: dict = {}
+    inflight: dict = {}
+    next_out = submitted = 0
+    try:
+        while True:
+            while next_out in results:
+                yield results.pop(next_out)
+                next_out += 1
+            if next_out == len(tasks):
+                return
             try:
-                pool = provider.pool()
-            except provider.pool_errors as exc:
-                _warn_pool_failure(exc.__cause__ or exc)
-                for i in [j for rest in batches[b:] for j in rest] + sorted(lost):
-                    attempts[i] += 1
-                    results[i] = _call_shard(
-                        fn, tasks[i], plan, base + i, attempts[i], in_worker=False
-                    )
-                return results
-            workers_before = provider.worker_state()
-            dispatched = time.monotonic()
-            handles = []
-            for i in batch:
-                attempts[i] += 1
-                if attempts[i] > 1:
-                    obs.event("executor.shard_retry", shard=base + i,
-                              attempt=attempts[i])
-                    obs.count("executor.retries")
-                handles.append(
-                    (i, _dispatch_shard(pool, fn, tasks[i], plan, base + i,
-                                        attempts[i]))
-                )
-            worker_died = False
-            batch_lost = False
-            for i, handle in handles:
-                while True:
-                    if handle.ready():
-                        results[i] = handle.get()
-                        break
-                    if worker_died:
-                        lost[i] = WorkerLostError(
-                            f"shard {base + i} lost to a dead pool worker "
-                            f"(attempt {attempts[i]} of {policy.max_attempts})"
-                        )
-                        obs.event("executor.worker_lost", shard=base + i,
-                                  attempt=attempts[i])
-                        obs.count("executor.worker_losses")
-                        batch_lost = True
-                        break
-                    if (
-                        policy.shard_deadline is not None
-                        and time.monotonic() - dispatched >= policy.shard_deadline
-                    ):
-                        lost[i] = ShardDeadlineError(
-                            f"shard {base + i} missed its "
-                            f"{policy.shard_deadline:g}s deadline "
-                            f"(attempt {attempts[i]} of {policy.max_attempts})"
-                        )
-                        obs.event("executor.shard_deadline", shard=base + i,
-                                  attempt=attempts[i])
-                        obs.count("executor.deadline_misses")
-                        batch_lost = True
-                        break
-                    handle.wait(_POLL_INTERVAL)
-                    if provider.worker_state() != workers_before:
-                        worker_died = True
-            if batch_lost:
-                # A dead or deadline-hogged worker must never serve another
-                # shard: recycle before the next batch, the next retry
-                # round, and before giving up, so a persistent runtime
-                # session stays healthy either way.
-                provider.recycle()
-                obs.event("executor.pool_recycle")
-                obs.count("executor.pool_recycles")
-        if not lost:
-            return results
-        exhausted = sorted(i for i in lost if attempts[i] >= policy.max_attempts)
-        if exhausted:
-            for i in exhausted:
-                obs.event("executor.retry_budget_exhausted", shard=base + i,
-                          attempts=attempts[i])
-                obs.count("executor.budget_exhaustions")
-            if not collect_errors:
-                detail = "; ".join(str(lost[i]) for i in exhausted)
-                raise RetryBudgetError(
-                    f"{len(exhausted)} shard(s) still failing after "
-                    f"{policy.max_attempts} attempt(s): {detail}"
-                )
-            for i in exhausted:
-                results[i] = RetryBudgetError(
-                    f"shard {base + i} still failing after "
-                    f"{policy.max_attempts} attempt(s): {lost[i]}"
-                )
-                del lost[i]
-        round_no += 1
-        pending = sorted(lost)
-    return results
+                sup.ensure_pool()
+                while submitted < len(tasks) and len(inflight) < processes:
+                    inflight[submitted] = sup.submit(submitted)
+                    submitted += 1
+                finished, lost = sup.wait(inflight)
+                for i in finished:
+                    del inflight[i]
+                results.update(finished)
+                for i in sorted(lost):
+                    del inflight[i]
+                    results[i] = sup.retry(i, lost[i],
+                                           collect_errors=collect_errors)
+            except _PoolUnavailable as exc:
+                _warn_pool_failure(exc.__cause__)
+                submitted = len(tasks)
+                inflight.clear()
+                for i in range(next_out, len(tasks)):
+                    if i not in results:
+                        sup.attempts[i] += 1
+                        results[i] = _call_shard(fn, tasks[i], plan, base + i,
+                                                 sup.attempts[i],
+                                                 in_worker=False)
+    finally:
+        sup.recycle()
 
 
-def _run_serial(fn, tasks, plan, base: int) -> list:
-    """The in-process path: shard spans, no pool, results in order."""
-    results = []
+def _run_serial(fn, tasks, plan, base: int):
+    """The in-process path: one ``shard`` span per task, results in order."""
     for i, task in enumerate(tasks):
         with obs.span("shard", index=base + i):
-            results.append(
-                _call_shard(fn, task, plan, base + i, 1, in_worker=False)
-            )
-    return results
+            result = _call_shard(fn, task, plan, base + i, 1, in_worker=False)
+        yield result
 
 
-def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = False,
+def run_shards(fn, tasks, *, workers: int | None = None,
                policy: RetryPolicy | None = None,
-               collect_errors: bool = False) -> list:
-    """Apply ``fn(*task)`` to every task, returning results in task order.
+               collect_errors: bool = False):
+    """Apply ``fn(*task)`` to every task; iterate the results in task order.
+
+    Returns an iterator that yields each task's result as soon as it and
+    every task before it have finished, so a caller can commit a prefix
+    while later tasks still run; ``list(run_shards(...))`` collects them
+    all.  Arguments are validated, and fault-plan shard indices claimed,
+    when ``run_shards`` is called; the tasks run as the iterator is
+    consumed.  Closing the iterator early tears the pool down.
 
     ``fn`` must be a module-level (picklable) function and each task a
     tuple of picklable arguments.  With ``workers > 1`` and more than one
-    task, tasks are distributed over a process pool; otherwise — or when a
-    pool cannot be created — they run serially in-process.  Exceptions
-    raised by ``fn`` propagate to the caller either way.
-
-    ``collect_errors=True`` makes supervised dispatch deliver a shard's
-    :class:`~repro.errors.RetryBudgetError` *in its result slot* instead
-    of raising, so one doomed task cannot abort its siblings; it only
-    changes what happens on budget exhaustion, never a healthy result.
-
-    When a session-scoped :class:`repro.parallel.runtime.PoolRuntime` is
-    active, its persistent pool is reused instead of forking per call —
-    amortizing pool creation across every parallel region of a session.
-    ``fresh_pool=True`` opts a call out of the runtime: pass it when the
-    worker function depends on fork-inheriting parent state set *after*
-    the session started (e.g. the sweep engine's ``parallel_rows`` spec
-    global), which a long-lived pool's workers cannot see.
+    task, tasks run in one per-call pool of ``min(workers, len(tasks))``
+    processes; otherwise — or when a pool cannot be created — they run
+    serially in-process.  Exceptions raised by ``fn`` propagate to the
+    caller either way.
 
     Pool dispatch is supervised per the resolved :class:`RetryPolicy`
     (``policy=None`` means the session default): dead workers and blown
-    shard deadlines cost a pool recycle and a retry of only the affected
-    shards, never the session.  Each task is dispatched on its own, so a
-    cheap task is never batched behind an expensive one.  When a
-    :mod:`repro.faults` plan is active, this call claims the next global
-    shard indices and routes dispatch through the fault wrapper so
-    directives can fire.
-
-    Large arrays should not ride in the task tuples: publish them once
-    through :class:`repro.trace.store.TraceStore` and pass the handle —
-    see :func:`repro.parallel.memory.shared_values`.
+    deadlines cost a pool recycle and a retry of only the tasks that
+    were in flight, never the call.  ``collect_errors=True`` delivers a
+    task's :class:`~repro.errors.RetryBudgetError` *in its result slot*
+    instead of raising, so one doomed task cannot abort its siblings; it
+    only changes what happens on budget exhaustion, never a healthy
+    result.  When a :mod:`repro.faults` plan is active, this call claims
+    the next global shard indices and routes dispatch through the fault
+    wrapper so directives can fire.
     """
     tasks = list(tasks)
     n_workers = resolve_workers(workers)
@@ -731,34 +661,6 @@ def run_shards(fn, tasks, *, workers: int | None = None, fresh_pool: bool = Fals
     obs.count("executor.shards", len(tasks))
     if n_workers <= 1 or len(tasks) <= 1:
         return _run_serial(fn, tasks, plan, base)
-    if not fresh_pool:
-        from repro.parallel.runtime import PoolUnavailableError, active_runtime
-
-        runtime = active_runtime()
-        if runtime is not None:
-            try:
-                # Cap at the task count like the fresh path sizes its
-                # pool — a small dispatch must not grow (and recycle)
-                # the persistent pool past what it can use.
-                return runtime.starmap(
-                    fn, tasks, workers=min(n_workers, len(tasks)),
-                    policy=pol, plan=plan, base=base,
-                    collect_errors=collect_errors,
-                )
-            except PoolUnavailableError as exc:
-                _warn_pool_failure(exc.__cause__ or exc)
-                return _run_serial(fn, tasks, plan, base)
-    provider = _FreshPoolProvider(pool_start_method(), min(n_workers, len(tasks)))
-    try:
-        provider.pool()
-    except _POOL_CREATION_ERRORS as exc:
-        # No working pool in this environment (missing semaphores, daemonic
-        # parent, ...): degrade to the serial path, which is bit-for-bit
-        # identical by construction — but say so, once.
-        _warn_pool_failure(exc)
-        return _run_serial(fn, tasks, plan, base)
-    try:
-        return _supervise(fn, tasks, policy=pol, plan=plan, base=base,
-                          provider=provider, collect_errors=collect_errors)
-    finally:
-        provider.close()
+    return _supervise(fn, tasks, processes=min(n_workers, len(tasks)),
+                      policy=pol, plan=plan, base=base,
+                      collect_errors=collect_errors)

@@ -1,32 +1,22 @@
-"""Mergeable partial states for sharded and streamed reductions.
+"""Mergeable partial states for streamed reductions.
 
-Every parallel computation in :mod:`repro.parallel` follows the same
-shape: each shard (or trace chunk) folds its slice of the work into a
-small partial state, the states are merged pairwise in shard order, and
-``finalize`` turns the merged state into the quantity the sequential code
-returns.  The states here cover the library's ensemble-shaped workloads:
+The chunked folds in :mod:`repro.parallel.streaming` share one shape:
+each chunk folds into a small partial state, the states merge in chunk
+order, and ``finalize`` turns the merged state into the quantity the
+whole-array code returns.
 
-* :class:`EnsembleMeansState` — per-instance sampled means
-  (:func:`repro.core.variance.instance_means`); merge is ordered
-  concatenation, so the parallel result is *bit-for-bit* the sequential
-  array.
 * :class:`MomentState` — count/mean/M2 running moments with the Chan et
-  al. parallel-merge rule; the streaming building block for means and
-  variances of series larger than memory.
-* :class:`RSState` / :class:`AggVarState` / :class:`DFAState` — partial
-  sums for the R/S, aggregated-variance, and DFA estimators, sharded over
-  windows/blocks/boxes; merging reorders the final reduction, so parity
-  with the sequential path is 1e-12, not bit-exact.
+  al. parallel-merge rule; the building block for means and variances
+  of series larger than memory.
 * :class:`TailHistogramState` — exact integer threshold-exceedance counts
   (:func:`repro.queueing.simulation.tail_probabilities`); merge is
-  integer addition, so parity is bit-exact.
+  integer addition, so the streamed result is bit-exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from typing import Iterable, Protocol, runtime_checkable
+from typing import Protocol, runtime_checkable
 
 import numpy as np
 
@@ -44,44 +34,6 @@ class MergeableState(Protocol):
     def finalize(self):
         """The finished quantity this state accumulates toward."""
         ...
-
-
-def merge_states(states: Iterable[MergeableState]) -> MergeableState:
-    """Left-fold ``merge`` over per-shard states, in shard order."""
-    states = list(states)
-    if not states:
-        raise ParameterError("cannot merge an empty collection of states")
-    return reduce(lambda a, b: a.merge(b), states)
-
-
-# ------------------------------------------------------------- ensembles
-@dataclass(frozen=True)
-class EnsembleMeansState(MergeableState):
-    """Per-instance sampled means of one shard of a Monte-Carlo ensemble.
-
-    ``start`` is the shard's first global instance index; merge stitches
-    shards back together in instance order, so ``finalize`` returns
-    exactly the array the sequential ensemble loop would have produced.
-    """
-
-    start: int
-    means: np.ndarray
-
-    def merge(self, other: "EnsembleMeansState") -> "EnsembleMeansState":
-        first, second = sorted((self, other), key=lambda s: s.start)
-        if first.start + first.means.size != second.start:
-            raise ParameterError(
-                f"cannot merge non-adjacent ensemble shards "
-                f"[{first.start}, {first.start + first.means.size}) and "
-                f"[{second.start}, {second.start + second.means.size})"
-            )
-        return EnsembleMeansState(
-            start=first.start,
-            means=np.concatenate([first.means, second.means]),
-        )
-
-    def finalize(self) -> np.ndarray:
-        return self.means
 
 
 # --------------------------------------------------------------- moments
@@ -133,101 +85,12 @@ class MomentState(MergeableState):
         return (self.count, self.mean if self.count else float("nan"), self.variance)
 
 
-# ------------------------------------------------------------ estimators
 def _check_same_sizes(name: str, a: np.ndarray, b: np.ndarray) -> None:
     if a.shape != b.shape:
         raise ParameterError(
             f"cannot merge {name} states over different scale grids "
             f"({a.shape} vs {b.shape})"
         )
-
-
-@dataclass(frozen=True)
-class RSState(MergeableState):
-    """Partial R/S sums: per window size, sum and count of finite stats.
-
-    The sequential path ends with ``nanmean`` over all windows of one
-    size; the sharded path sums finite window statistics and divides once
-    at ``finalize``, which reorders the reduction (1e-12 parity).
-    """
-
-    finite_sum: np.ndarray
-    finite_count: np.ndarray
-
-    def merge(self, other: "RSState") -> "RSState":
-        _check_same_sizes("R/S", self.finite_sum, other.finite_sum)
-        return RSState(
-            finite_sum=self.finite_sum + other.finite_sum,
-            finite_count=self.finite_count + other.finite_count,
-        )
-
-    def finalize(self) -> np.ndarray:
-        out = np.full(self.finite_sum.shape, np.nan)
-        usable = self.finite_count > 0
-        out[usable] = self.finite_sum[usable] / self.finite_count[usable]
-        return out
-
-
-@dataclass(frozen=True)
-class AggVarState(MergeableState):
-    """Partial block-mean moments per aggregation level (vectorised Chan).
-
-    Arrays are indexed by block size; each entry is the (count, mean, M2)
-    of the block means this shard has seen at that level.
-    """
-
-    count: np.ndarray
-    mean: np.ndarray
-    m2: np.ndarray
-
-    @classmethod
-    def from_block_means(cls, per_size_means: list[np.ndarray]) -> "AggVarState":
-        count = np.array([m.size for m in per_size_means], dtype=np.int64)
-        mean = np.array(
-            [m.mean() if m.size else 0.0 for m in per_size_means], dtype=np.float64
-        )
-        m2 = np.array(
-            [((m - m.mean()) ** 2).sum() if m.size else 0.0 for m in per_size_means],
-            dtype=np.float64,
-        )
-        return cls(count=count, mean=mean, m2=m2)
-
-    def merge(self, other: "AggVarState") -> "AggVarState":
-        _check_same_sizes("aggregated-variance", self.count, other.count)
-        count = self.count + other.count
-        safe = np.maximum(count, 1)  # avoid 0/0 for empty levels
-        delta = other.mean - self.mean
-        mean = self.mean + delta * (other.count / safe)
-        m2 = self.m2 + other.m2 + delta * delta * self.count * other.count / safe
-        return AggVarState(count=count, mean=mean, m2=m2)
-
-    def finalize(self) -> np.ndarray:
-        """Population variance of the block means per aggregation level."""
-        out = np.full(self.count.shape, np.nan)
-        usable = self.count > 0
-        out[usable] = self.m2[usable] / self.count[usable]
-        return out
-
-
-@dataclass(frozen=True)
-class DFAState(MergeableState):
-    """Partial DFA sums: per box size, squared residual sum and points."""
-
-    sq_sum: np.ndarray
-    n_points: np.ndarray
-
-    def merge(self, other: "DFAState") -> "DFAState":
-        _check_same_sizes("DFA", self.sq_sum, other.sq_sum)
-        return DFAState(
-            sq_sum=self.sq_sum + other.sq_sum,
-            n_points=self.n_points + other.n_points,
-        )
-
-    def finalize(self) -> np.ndarray:
-        out = np.full(self.sq_sum.shape, np.nan)
-        usable = self.n_points > 0
-        out[usable] = np.sqrt(self.sq_sum[usable] / self.n_points[usable])
-        return out
 
 
 # -------------------------------------------------------------- queueing

@@ -2,8 +2,8 @@
 
 Couples the chunked trace reader (:func:`repro.trace.io.iter_trace_chunks`)
 and plain in-memory chunking to the partial states of
-:mod:`repro.parallel.state`, so the ensemble engine's reductions also run
-over inputs that never materialise as one array:
+:mod:`repro.parallel.state`, so the library's reductions also run over
+inputs that never materialise as one array:
 
 * :func:`streamed_moments` — count/mean/variance of any chunk stream.
 * :func:`streamed_tail_probabilities` — P(Q > b) histograms folded chunk
@@ -14,17 +14,13 @@ over inputs that never materialise as one array:
   a ``.csv``/``.rpt`` file without reading it whole.
 
 Chunks arriving from a file are inherently sequential, so these folds are
-single-process; the worker pool earns its keep in
-:mod:`repro.parallel.ensembles`, where shards are independent.  What a
-sequential fold *can* overlap is ingest with reduction:
-:func:`prefetch_chunks` double-buffers any chunk stream by pulling chunk
+single-process.  What a sequential fold *can* overlap is ingest with
+reduction: :func:`prefetch_chunks` double-buffers any chunk stream by pulling chunk
 N+1 on a background reader thread while the caller reduces chunk N —
 file reads and the numpy reductions both release the GIL, so the two
 pipeline stages genuinely overlap.  The file-backed folds take a
 ``pipelined`` flag that applies it; order, values, and exceptions are
-preserved exactly, so pipelining never changes a result.  For an
-in-memory series, :func:`parallel_chunk_tail_probabilities` shows the
-hybrid: chunk like a stream, reduce like a shard plan.
+preserved exactly, so pipelining never changes a result.
 """
 
 from __future__ import annotations
@@ -37,10 +33,6 @@ from typing import Iterable, Iterator
 import numpy as np
 
 import repro.obs as obs
-from repro.errors import ParameterError
-from repro.parallel.ensembles import _tail_partial
-from repro.parallel.executor import resolve_workers, run_shards
-from repro.parallel.memory import shared_values
 from repro.parallel.state import MomentState, TailHistogramState
 from repro.queueing.simulation import queue_occupancy
 from repro.trace.io import DEFAULT_CHUNK_PACKETS, iter_trace_chunks
@@ -206,34 +198,3 @@ def streamed_trace_size_moments(
         if pipelined:
             chunks = prefetch_chunks(chunks)
         return streamed_moments(chunks)
-
-
-def parallel_chunk_tail_probabilities(
-    values, thresholds, *, chunk_size: int, workers=None
-) -> np.ndarray:
-    """Chunk an in-memory series and reduce the chunks across workers.
-
-    Demonstrates the stream/shard duality: the exceedance counts a
-    streamed fold accumulates chunk by chunk are computed chunk-parallel
-    when the data is resident.  Counts are integers, so the result is
-    bit-identical to both the streamed fold and the whole-array pass.
-    The series is published once and each task carries a chunk's
-    ``[start, stop)`` range, not a slice copy.
-    """
-    chunk_size = require_int_at_least("chunk_size", chunk_size, 1)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    arr = np.asarray(values)
-    if arr.size == 0:
-        raise ParameterError("tail probabilities of an empty series")
-    n_workers = resolve_workers(workers)
-    bounds = [
-        (start, min(start + chunk_size, arr.size))
-        for start in range(0, arr.size, chunk_size)
-    ]
-    with shared_values(arr, workers=n_workers, n_tasks=len(bounds)) as ref:
-        tasks = [(ref, start, stop, thresholds) for start, stop in bounds]
-        partials = run_shards(_tail_partial, tasks, workers=n_workers)
-    state = TailHistogramState.empty(thresholds.size)
-    for partial in partials:
-        state = state.merge(partial)
-    return state.finalize()

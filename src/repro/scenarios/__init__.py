@@ -10,11 +10,10 @@ machinery are crossed into named evaluation campaigns —
 2. a **registry** (:mod:`~repro.scenarios.registry`) of built-in
    scenarios covering every traffic model and sampling technique;
 3. a **campaign runner** (:mod:`~repro.scenarios.campaign`) that expands
-   grids into deterministically seeded cells and routes every ensemble
-   through the sharded parallel engine (``workers=N ≡ workers=1``);
-   a **cell scheduler** (:mod:`~repro.scenarios.schedule`) can instead
-   shard the pending-cell list itself across the pool
-   (``--schedule cells``; ``auto`` picks per campaign), byte-identically;
+   grids into deterministically seeded cells and dispatches the pending
+   cells over the worker pool in one call
+   (:mod:`~repro.scenarios.schedule`), appending the records in
+   canonical order (``workers=N ≡ workers=1``);
 4. a **result store** (:mod:`~repro.scenarios.store`): append-only
    JSONL per campaign with a hashed manifest, so interrupted campaigns
    resume by skipping completed cells, byte-identically;
@@ -37,13 +36,6 @@ from repro.scenarios.registry import (
     register_scenario,
 )
 from repro.scenarios.report import render_report, report_json
-from repro.scenarios.schedule import (
-    CellSchedule,
-    cell_cost,
-    cell_costs,
-    decide_schedule,
-    plan_campaign,
-)
 from repro.scenarios.specs import (
     Cell,
     EstimatorSuite,
@@ -69,11 +61,6 @@ __all__ = [
     "expand_cells",
     "cell_label",
     "CampaignSummary",
-    "CellSchedule",
-    "cell_cost",
-    "cell_costs",
-    "decide_schedule",
-    "plan_campaign",
     "ResultStore",
     "grid_hash",
     "render_report",

@@ -5,11 +5,10 @@ pure function of its seed label — the legacy ``stream_for`` grammar,
 ``"<campaign>:<scenario>:<cell>"`` with role suffixes (``:trace``,
 ``:est``, ``:ci``) for the independent random inputs inside a cell — so
 cells can be re-run, skipped, or distributed without changing a single
-number.  Monte-Carlo ensembles route through
-:func:`repro.core.variance.instance_means` and queue tails through
-:func:`repro.parallel.parallel_tail_probabilities`, i.e. through the
-sharded engine, the zero-copy trace protocol, and (when active) the
-persistent pool runtime; ``workers=N`` is bit-identical to
+number.  The cell is the unit of parallel work: :func:`run_campaign`
+hands every pending cell to one dispatch
+(:func:`repro.scenarios.schedule.iter_cell_results`) and appends the
+records in canonical order, so ``workers=N`` is bit-identical to
 ``workers=1``.
 
 What a rate-series cell records:
@@ -37,7 +36,6 @@ same reducers run on the binned byte rate.
 
 from __future__ import annotations
 
-import contextlib
 import os
 import signal
 import threading
@@ -55,26 +53,29 @@ from repro.core.metrics import (
 )
 from repro.core.streaming import apply_sampler
 from repro.core.variance import instance_means
-from repro.errors import ExecutionError, ParameterError, ReproError
+from repro.errors import ParameterError, ReproError
 from repro.experiments.config import MASTER_SEED
 from repro.hurst.confidence import hurst_confidence_interval
 from repro.hurst.registry import estimate_hurst
-from repro.parallel import parallel_tail_probabilities
 from repro.parallel.executor import (
     RetryPolicy,
     default_workers,
     resolve_workers,
     retry_policy,
 )
-from repro.parallel.runtime import active_runtime
 from repro.queueing.norros import overflow_probability
-from repro.queueing.simulation import queue_occupancy, utilisation_for_load
+from repro.queueing.simulation import (
+    queue_occupancy,
+    tail_probabilities,
+    utilisation_for_load,
+)
 from repro.scenarios.registry import available_scenarios, get_scenario
-from repro.scenarios.schedule import iter_cell_results, plan_campaign
+from repro.scenarios.schedule import iter_cell_results
 from repro.scenarios.specs import Cell
 from repro.scenarios.store import ResultStore
 from repro.trace.binning import RateBinner
 from repro.utils.rng import spawn_rngs, stream_for
+from repro.utils.validation import require_int_at_least
 
 #: Fewer sampled points than this and a Hurst estimate/tail quantile is
 #: recorded as missing rather than fitted to noise.
@@ -139,9 +140,9 @@ def _queue_study(cell: Cell, values: np.ndarray, true_hurst: float | None,
                  mean_estimate: float, hurst_estimates: dict):
     """Lindley tail of the full trace vs Norros predictions.
 
-    The empirical side runs through the sharded engine
-    (:func:`parallel_tail_probabilities` — exact integer exceedance
-    counts, so worker count cannot move it).  Predictions use the trace
+    The empirical side is :func:`tail_probabilities` (exact integer
+    exceedance counts over the whole occupancy series).  Predictions use
+    the trace
     peakedness ``a = Var/mean`` and either the ground truth (how good
     could provisioning be) or the sampled estimates (how good is it
     with this sampler) — their gap, in mean |log10 P|, is the
@@ -158,7 +159,7 @@ def _queue_study(cell: Cell, values: np.ndarray, true_hurst: float | None,
         return None
     thresholds = np.geomspace(max(q_max * 1e-3, 1e-9), q_max,
                               spec.n_thresholds)
-    empirical = parallel_tail_probabilities(occupancy, thresholds)
+    empirical = tail_probabilities(occupancy, thresholds)
     peakedness = float(values.var()) / true_mean
 
     def _norros_log_error(mean_rate, hurst):
@@ -206,16 +207,13 @@ def _evaluate_series_cell(cell: Cell, label: str, seed: int) -> dict:
     true_tail = float(np.quantile(values, suite.tail_quantile))
 
     sampler = cell.sampler.build()
-    # The Monte-Carlo ensemble: routed through the sharded engine via the
-    # session workers default, bit-identical for any worker count.
     means = instance_means(
         sampler, trace, cell.n_instances, stream_for(label, seed)
     )
     mean_estimate = float(np.median(means))
 
-    # One designated estimation instance carries the H/tail questions —
-    # its randomness is its own stream, so ensemble sharding never
-    # perturbs it.
+    # One designated estimation instance carries the H/tail questions;
+    # its randomness is its own stream, apart from the ensemble's.
     est = sampler.sample(trace, stream_for(label + ":est", seed))
     est_values = est.values
     hursts = _hurst_estimates(est_values, suite.methods)
@@ -469,35 +467,34 @@ def run_campaign(
 ) -> CampaignSummary:
     """Run (or resume) a campaign over the named scenarios.
 
-    Cells run in deterministic order and are appended to the store in
-    that order; completed cells are skipped on resume.  ``workers`` sets
-    the session sharding default, and ``schedule`` picks where that
-    parallelism sits: ``"ensembles"`` shards inside each cell (the
-    historical layout), ``"cells"`` shards the pending-cell list itself
-    across the pool (the many-small-cells layout), and ``"auto"`` — the
-    default via ``--schedule``/``REPRO_SCHEDULE`` — lets
-    :func:`~repro.scenarios.schedule.plan_campaign` decide.  Either way
-    this process is the sole store writer and records land in canonical
-    cell order, so the store and manifest are byte-identical across
-    modes and worker counts.  ``max_cells`` caps how many pending cells
-    this invocation attempts — the hook the interruption tests (and
-    incremental jobs) use.
+    Completed cells are skipped on resume; every pending cell goes to
+    one dispatch (:func:`~repro.scenarios.schedule.iter_cell_results`)
+    over ``workers`` processes (``None``: the session default), in
+    canonical order.  This process is the sole store writer and appends
+    each record as soon as the cells before it are done, so the store
+    and manifest are byte-identical for any worker count.
+    ``max_cells`` caps how many pending cells this invocation attempts
+    — the hook the interruption tests (and incremental jobs) use.
+
+    ``schedule`` does nothing: it accepts only ``None`` and ``"auto"``,
+    and stays only because ``perfbench/workloads.py`` passes it.
 
     Failure handling: ``retry`` (default: the session
     :class:`~repro.parallel.RetryPolicy`) governs the executor's
-    worker-loss/deadline supervision — under every cell's ensembles in
-    ``ensembles`` mode, over the cell tasks themselves in ``cells``
-    mode.  A cell whose retry budget is exhausted is *quarantined* —
-    recorded in the store's sidecar, counted in the summary — and the
-    campaign moves on; the next ``resume=True`` run re-attempts exactly
-    those cells.  SIGINT and SIGTERM shut down cleanly: results are
-    durable per append (a cell-scheduled run forfeits at most its
-    current round's uncommitted results, which resume re-runs), and the
-    persistent pool (when one is active) is torn down rather than
-    orphaned.
+    worker-loss/deadline supervision of each cell.  A cell whose retry
+    budget is exhausted is *quarantined* — recorded in the store's
+    sidecar, counted in the summary — and the campaign moves on; the
+    next ``resume=True`` run re-attempts exactly those cells.  SIGINT
+    and SIGTERM shut down cleanly: results are durable per append, the
+    cells still in flight are forfeited (resume re-runs them), and the
+    worker pool is torn down rather than orphaned.
     """
-    if max_cells is not None and max_cells < 0:
-        raise ParameterError(f"max_cells must be >= 0, got {max_cells}")
+    if max_cells is not None:
+        require_int_at_least("max_cells", max_cells, 0)
+    if schedule not in (None, "auto"):
+        raise ParameterError(
+            f"schedule must be None or 'auto', got {schedule!r}"
+        )
     cells = expand_cells(scenario_names, smoke=smoke)
     store = ResultStore.open(
         results_dir, campaign, seed=seed, cells=cells, smoke=smoke,
@@ -507,82 +504,45 @@ def run_campaign(
     telemetry_meta = {"campaign": campaign, "seed": int(seed),
                       "smoke": bool(smoke), "resume": bool(resume)}
 
-    def _quarantine(cell: Cell, error_type: str, message: str) -> None:
-        obs.event("campaign.quarantine", key=cell.key, error=error_type)
-        obs.count("campaign.cells_quarantined")
-        store.quarantine({
-            "key": cell.key,
-            "label": cell_label(campaign, cell),
-            "error": {"type": error_type, "message": message},
-        })
-
     # One scoped collector per campaign: the sidecar below covers exactly
     # this run, while an enclosing telemetry() scope (tests, chaos) still
     # absorbs everything on exit.  None when telemetry is off.
     with obs.scoped_collector() as collector:
-        try:
-            with _sigterm_as_interrupt(), default_workers(workers), \
-                    retry_policy(retry), \
-                    obs.span("campaign", name=campaign, smoke=smoke):
-                pending = []
-                for cell in cells:
-                    if store.is_completed(cell.key):
-                        skipped += 1
-                    else:
-                        pending.append(cell)
-                if max_cells is not None:
-                    pending = pending[:max_cells]
-                if skipped:
-                    obs.count("campaign.cells_skipped", skipped)
-                plan = plan_campaign(pending, mode=schedule)
-                telemetry_meta["schedule"] = plan.mode
-                telemetry_meta["workers"] = resolve_workers(None)
-                obs.event("campaign.plan", mode=plan.mode,
-                          pending=len(pending), rounds=plan.n_rounds)
-                if plan.mode == "cells":
-                    for cell, outcome in iter_cell_results(
-                        plan, pending, campaign=campaign, seed=seed
-                    ):
-                        if outcome[0] == "ok":
-                            store.append(outcome[1])
-                            executed += 1
-                            obs.count("campaign.cells_executed")
-                        else:
-                            _quarantine(cell, outcome[1], outcome[2])
-                            quarantined += 1
+        with _sigterm_as_interrupt(), default_workers(workers), \
+                retry_policy(retry), \
+                obs.span("campaign", name=campaign, smoke=smoke):
+            pending = []
+            for cell in cells:
+                if store.is_completed(cell.key):
+                    skipped += 1
                 else:
-                    profile_to = obs.profile_dir()
-                    profile_scope = contextlib.nullcontext()
-                    if profile_to is not None:
-                        from repro.obs.profile import (
-                            profiled,
-                            worker_profile_path,
-                        )
-
-                        profile_scope = profiled(
-                            worker_profile_path(profile_to)
-                        )
-                    with profile_scope:
-                        for cell in pending:
-                            try:
-                                with obs.span("cell", key=cell.key):
-                                    record = evaluate_cell(
-                                        cell, campaign=campaign, seed=seed
-                                    )
-                            except ExecutionError as exc:
-                                _quarantine(cell, type(exc).__name__, str(exc))
-                                quarantined += 1
-                                continue
-                            store.append(record)
-                            executed += 1
-                            obs.count("campaign.cells_executed")
-        except KeyboardInterrupt:
-            # Appends are fsync-durable, so the store needs no flush; what a
-            # kill must not leave behind is a live worker pool.
-            runtime = active_runtime()
-            if runtime is not None:
-                runtime.restart()
-            raise
+                    pending.append(cell)
+            if max_cells is not None:
+                pending = pending[:max_cells]
+            if skipped:
+                obs.count("campaign.cells_skipped", skipped)
+            telemetry_meta["workers"] = resolve_workers(None)
+            # The loop holds the only reference to the dispatch: an
+            # interrupt or a failed append that leaves it drops the
+            # dispatch, whose ``finally`` tears the worker pool down.
+            for cell, outcome in iter_cell_results(
+                pending, campaign=campaign, seed=seed
+            ):
+                if outcome[0] == "ok":
+                    store.append(outcome[1])
+                    executed += 1
+                    obs.count("campaign.cells_executed")
+                    continue
+                _, error_type, message = outcome
+                obs.event("campaign.quarantine", key=cell.key,
+                          error=error_type)
+                obs.count("campaign.cells_quarantined")
+                store.quarantine({
+                    "key": cell.key,
+                    "label": cell_label(campaign, cell),
+                    "error": {"type": error_type, "message": message},
+                })
+                quarantined += 1
         store.finalize([cell.key for cell in cells])
         if collector is not None:
             collector.event("campaign.summary", executed=executed,

@@ -13,18 +13,8 @@ from repro.trace.io import (
 )
 from repro.trace.packet import PROTO_TCP, PROTO_UDP, PacketRecord, PacketTrace
 from repro.trace.process import RateProcess
-from repro.trace.store import (
-    TraceHandle,
-    TraceStore,
-    resolve_values,
-    write_rate_series,
-)
 
 __all__ = [
-    "TraceHandle",
-    "TraceStore",
-    "resolve_values",
-    "write_rate_series",
     "PacketRecord",
     "PacketTrace",
     "PROTO_TCP",

@@ -421,7 +421,7 @@ def iter_trace_chunks(path, *, chunk_size: int = DEFAULT_CHUNK_PACKETS):
     Yields successive chunks of at most ``chunk_size`` packets, in file
     order, choosing the format from the extension exactly like
     :func:`read_trace` — but only ever holding one chunk in memory, so
-    traces far larger than RAM can feed sharded reductions.  The last
+    traces far larger than RAM can feed streamed reductions.  The last
     chunk may be partial; an empty trace yields no chunks.
     """
     path = Path(path)

@@ -1,9 +1,8 @@
 """One-shot session warnings, shared across the whole library.
 
-Several subsystems degrade gracefully exactly once per session — the
-executor falls back to serial shards when pools are unavailable, the
-trace store falls back to pickled payloads when shared memory is.
-Each used to keep its own module flag; :func:`warn_once` centralises
+Subsystems that degrade gracefully do so loudly, exactly once per
+session — the executor, for one, falls back to serial tasks when pools
+are unavailable.  :func:`warn_once` centralises
 the latch so the semantics ("warn the first time, stay quiet after,
 never change results") are uniform, and so telemetry records every
 degradation as a ``warning`` event even on the silent repeats' first

@@ -44,10 +44,10 @@ def copy_sequence(seq: np.random.SeedSequence) -> np.random.SeedSequence:
 
     ``SeedSequence.spawn`` advances the parent's spawn counter in place, so
     spawning from a caller-supplied sequence would silently consume it: the
-    next spawn from the same object yields *different* children.  Sharded
-    runs rebuild their shard plan from one seed spec on every worker, so
-    the derivation must be a pure function of the seed data — spawning from
-    a copy keeps the caller's object untouched.
+    next spawn from the same object yields *different* children.  Repeated
+    runs must derive the same children from one seed spec, so the
+    derivation must be a pure function of the seed data — spawning from a
+    copy keeps the caller's object untouched.
     """
     return np.random.SeedSequence(
         entropy=seq.entropy, spawn_key=seq.spawn_key, pool_size=seq.pool_size
@@ -70,7 +70,7 @@ def spawn_rngs(rng, count: int) -> list[np.random.Generator]:
         raise ValueError(f"count must be non-negative, got {count}")
     if count == 0:
         # Validate the spec but never touch a parent's spawn state for an
-        # empty shard plan.
+        # empty ensemble.
         normalize_rng(rng)
         return []
     if isinstance(rng, np.random.SeedSequence):
@@ -86,7 +86,7 @@ def stream_for(name: str, seed: int) -> np.random.Generator:
     Used by the experiment harness so each figure's workload draws from its
     own named stream: changing one experiment never perturbs another.
 
-    ``seed`` may be any Python int (sharded sweeps derive labelled seeds
+    ``seed`` may be any Python int (sweeps derive labelled seeds
     arithmetically, which can go negative or exceed 64 bits); it is folded
     into ``SeedSequence``'s accepted range rather than rejected.
     """

@@ -14,16 +14,16 @@ instead of orphaning it.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import signal
 
 import pytest
 
 import repro.faults as faults
-import repro.scenarios.campaign as campaign_module
 from repro.errors import InjectedFault, ParameterError, StoreIntegrityError
 from repro.faults import fault_plan
-from repro.parallel import RetryPolicy, pool_runtime, run_shards
+from repro.parallel import RetryPolicy
 from repro.scenarios import (
     ResultStore,
     SamplerSpec,
@@ -212,39 +212,31 @@ class TestStoreIntegrity:
 
 
 # --------------------------------------------------------- clean shutdown
-def _fake_record(cell, *, campaign, seed):
-    return {"key": cell.key, "fixture": True}
+def _interrupt_after_first_append(monkeypatch, interrupt):
+    """Make the store run ``interrupt()`` right after its first append."""
+    original = ResultStore.append
+    appended = []
 
+    def append(self, record):
+        original(self, record)
+        appended.append(record["key"])
+        if len(appended) == 1:
+            interrupt()
 
-def _noop(x):
-    return x
+    monkeypatch.setattr(ResultStore, "append", append)
 
 
 class TestCleanShutdown:
     def test_sigterm_interrupts_and_tears_the_pool_down(
             self, mini_registered, tmp_path, monkeypatch):
-        calls = []
+        def _sigterm():
+            os.kill(os.getpid(), signal.SIGTERM)
 
-        def _evaluate(cell, *, campaign, seed):
-            if len(calls) == 1:
-                os.kill(os.getpid(), signal.SIGTERM)
-                raise AssertionError("SIGTERM handler did not fire")
-            calls.append(cell.key)
-            # Fork the persistent pool so teardown has something real
-            # to tear down.
-            run_shards(_noop, [(0,), (1,)], workers=2)
-            return _fake_record(cell, campaign=campaign, seed=seed)
-
-        monkeypatch.setattr(campaign_module, "evaluate_cell", _evaluate)
+        _interrupt_after_first_append(monkeypatch, _sigterm)
         before = signal.getsignal(signal.SIGTERM)
-        with pool_runtime(workers=2) as rt:
-            with pytest.raises(KeyboardInterrupt):
-                # schedule="ensembles": the monkeypatched evaluate_cell
-                # must run in the parent for the SIGTERM to interrupt
-                # the campaign loop rather than a pool worker.
-                _run(mini_registered, tmp_path / "run", workers=2,
-                     schedule="ensembles")
-            assert not rt.has_live_pool()
+        with pytest.raises(KeyboardInterrupt):
+            _run(mini_registered, tmp_path / "run", workers=2)
+        assert not multiprocessing.active_children()
         # The previous handler is back and the first append is durable.
         assert signal.getsignal(signal.SIGTERM) is before
         store = ResultStore(tmp_path / "run" / "chaos-test")
@@ -252,23 +244,17 @@ class TestCleanShutdown:
 
     def test_keyboard_interrupt_propagates_after_pool_teardown(
             self, mini_registered, tmp_path, monkeypatch):
-        def _evaluate(cell, *, campaign, seed):
+        def _ctrl_c():
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(campaign_module, "evaluate_cell", _evaluate)
-        with pool_runtime(workers=2) as rt:
-            run_shards(_noop, [(0,), (1,)], workers=2)
-            assert rt.has_live_pool()
-            with pytest.raises(KeyboardInterrupt):
-                _run(mini_registered, tmp_path / "run", workers=2,
-                     schedule="ensembles")
-            assert not rt.has_live_pool()
+        _interrupt_after_first_append(monkeypatch, _ctrl_c)
+        with pytest.raises(KeyboardInterrupt):
+            _run(mini_registered, tmp_path / "run", workers=2)
+        assert not multiprocessing.active_children()
 
 
 def test_module_state_clean():
     """Last in file: campaign faults must not leak session state."""
-    import repro.parallel.runtime as runtime_module
-
-    assert runtime_module._ACTIVE_RUNTIME is None
+    assert not multiprocessing.active_children()
     assert faults.active_plan() is None
     assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL

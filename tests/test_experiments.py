@@ -38,6 +38,36 @@ class TestHarness:
         with pytest.raises(ParameterError):
             run_experiment("fig99")
 
+    @pytest.mark.parametrize("scale", [-1.0, 0.0, 7.0, float("nan")])
+    def test_out_of_range_scale_rejected(self, scale):
+        # fig04 is closed-form: it never reaches config.scaled, so only
+        # run_experiment's own check can catch the bad scale.
+        with pytest.raises(ParameterError, match="scale"):
+            run_experiment("fig04", scale=scale)
+
+    def test_scaled_raises_parameter_error(self):
+        from repro.experiments.config import scaled
+
+        for scale in (0.0, 1.5, float("nan")):
+            with pytest.raises(ParameterError, match="scale"):
+                scaled(1 << 10, scale)
+        assert scaled(1 << 12, 0.5) == 1 << 11
+
+    def test_cli_checks_scale_before_dispatch(self, capsys, monkeypatch):
+        import repro.parallel as parallel
+        from repro.experiments.__main__ import main
+
+        def _no_dispatch(*args, **kwargs):
+            raise AssertionError("dispatched before checking --scale")
+
+        monkeypatch.setattr(parallel, "run_shards", _no_dispatch)
+        for argv in (["run", "fig04", "--scale", "-1"],
+                     ["run", "all", "--scale", "0"],
+                     ["run", "all", "--scale", "nan", "--workers", "2"]):
+            with pytest.raises(ParameterError, match="scale"):
+                main(argv)
+        assert capsys.readouterr().out == ""
+
     def test_every_panel_renders(self, results):
         for panel in results.values():
             text = panel.render()

@@ -1,5 +1,5 @@
 """Registry-wide smoke test: every figure renders, is finite, and is
-deterministic — serially and through the sharded engine.
+deterministic — in-process and dispatched as a whole figure.
 
 This is the acceptance pin for the sweep refactor: all 21 figure modules
 now declare their panels as SweepSpecs, so one parametrized test can run
@@ -9,7 +9,9 @@ the whole registry at tiny scale and assert
 * values are finite (NaN cells are allowed only where a figure designs
   them in, e.g. infeasible design regions; infinities never are),
 * two runs are bit-identical (pure seed-label streams),
-* ``workers=4`` is bit-identical to ``workers=1``.
+* every figure dispatched through ``run_shards`` at ``workers=4`` — as
+  ``run all`` dispatches them — is bit-identical to ``workers=1``, and
+  ``run all`` prints the same panels at ``--workers 1`` and ``2``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import math
 import pytest
 
 from repro.experiments import available_experiments, run_experiment
+from repro.experiments.runner import timed_experiment
+from repro.parallel import run_shards
 
 TINY = 0.02
 SEED = 20050601
@@ -30,6 +34,19 @@ def baseline():
     return {
         name: run_experiment(name, scale=TINY, seed=SEED)
         for name in available_experiments()
+    }
+
+
+@pytest.fixture(scope="module")
+def dispatched():
+    """The whole registry in one ``run_shards`` call at workers=4."""
+    names = available_experiments()
+    tasks = [(name, TINY, SEED) for name in names]
+    return {
+        name: panels
+        for name, (panels, _) in zip(
+            names, run_shards(timed_experiment, tasks, workers=4)
+        )
     }
 
 
@@ -86,25 +103,20 @@ def test_deterministic_across_two_calls(name, baseline):
 
 
 @pytest.mark.parametrize("name", available_experiments())
-def test_workers4_bit_identical_to_workers1(name, baseline):
-    routed = run_experiment(name, scale=TINY, seed=SEED, workers=4)
-    _assert_same_panels(baseline[name], routed, "workers=4")
+def test_workers4_bit_identical_to_workers1(name, baseline, dispatched):
+    _assert_same_panels(baseline[name], dispatched[name], "workers=4")
 
 
-@pytest.mark.parametrize("name", ["fig05", "fig18", "fig21"])
-def test_persistent_runtime_bit_identical(name, baseline):
-    """A multi-figure session on one reused pool matches the serial run.
+def test_run_all_prints_the_same_at_any_worker_count(capsys):
+    from repro.experiments.__main__ import main
 
-    fig05/fig18 route Monte-Carlo ensembles through the engine (the
-    second call publishes *after* the pool forked, forcing the
-    attach-by-name path); fig21 is a ``parallel_rows`` figure, whose row
-    dispatch must keep fresh-forking under an active runtime.
-    """
-    from repro.parallel import pool_runtime
+    def _run_all(workers):
+        assert main(["run", "all", "--scale", str(TINY), "--seed", str(SEED),
+                     "--workers", str(workers)]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if "completed in" not in line]
 
-    with pool_runtime():
-        for attempt in range(2):
-            routed = run_experiment(name, scale=TINY, seed=SEED, workers=2)
-            _assert_same_panels(
-                baseline[name], routed, f"persistent[{attempt}]"
-            )
+    serial = _run_all(1)
+    titles = sum(line.startswith("[fig") for line in serial)
+    assert titles >= len(available_experiments())
+    assert _run_all(2) == serial

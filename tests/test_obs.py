@@ -237,13 +237,11 @@ class TestByteIdentity:
             )
         return summary.store
 
-    @pytest.mark.parametrize("schedule", ["ensembles", "cells"])
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_store_and_manifest_identical(self, tmp_path, mini_scenario,
-                                          schedule):
-        off = self._run(tmp_path, False, mini_scenario, schedule=schedule,
-                        workers=2)
-        on = self._run(tmp_path, True, mini_scenario, schedule=schedule,
-                       workers=2)
+                                          workers):
+        off = self._run(tmp_path, False, mini_scenario, workers=workers)
+        on = self._run(tmp_path, True, mini_scenario, workers=workers)
         assert off.results_path.read_bytes() == on.results_path.read_bytes()
         assert off.manifest_path.read_bytes() == on.manifest_path.read_bytes()
 
@@ -302,7 +300,7 @@ import repro.obs as obs
 with obs.span("noop"):
     pass
 obs.count("noop")
-assert run_shards(pow, [(2, 3), (2, 4)], workers=1) == [8, 16]
+assert list(run_shards(pow, [(2, 3), (2, 4)], workers=1)) == [8, 16]
 assert "repro.obs.record" not in sys.modules, "telemetry-off imported record"
 print("ok")
 """
@@ -331,7 +329,7 @@ class TestSpansSurviveWorkerKills:
         with obs.telemetry() as col, fault_plan("kill:shard=1"):
             summary = run_campaign(
                 [mini_scenario.name], campaign="obs", seed=SEED,
-                results_dir=tmp_path, workers=2, schedule="cells",
+                results_dir=tmp_path, workers=2,
                 retry=RetryPolicy(max_attempts=3, backoff_base=0.05),
             )
         assert summary.executed == summary.n_cells  # kill absorbed
@@ -361,7 +359,7 @@ class TestCLI:
         knobs = [line.split(":", 1)[0] for line in out.splitlines()]
         assert knobs == [
             "cpu_count", "suggested_workers", "pool_start_method",
-            "default_workers", "runtime_mode", "schedule", "telemetry",
+            "default_workers", "telemetry",
         ]
 
     def test_scenarios_report_json(self, capsys, tmp_path, mini_scenario):

@@ -1,9 +1,10 @@
-"""Determinism pins for the sharded ensemble engine.
+"""Determinism pins for whole-ensemble dispatch and the workers knob.
 
-The acceptance contract of repro.parallel: every parallelized
-ensemble/estimator produces identical results for workers=1 and
-workers=4 (exact, or 1e-12 where the reduction order differs), and
-matches the pre-existing sequential path.
+The acceptance contract of repro.parallel: a unit of work dispatched
+through ``run_shards`` — here a whole Monte-Carlo ensemble, as a campaign
+dispatches whole cells — gives bit-identical results for workers=1 and
+workers=4, equal to running it in-process, and ``run_shards`` hands the
+results back in task order.
 """
 
 from __future__ import annotations
@@ -11,29 +12,20 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.obs as obs
 from repro.core.bss import BiasedSystematicSampler
 from repro.core.simple_random import SimpleRandomSampler
 from repro.core.stratified import StratifiedSampler
 from repro.core.systematic import SystematicSampler
 from repro.core.variance import average_variance, instance_means
 from repro.errors import ParameterError
-from repro.hurst.aggvar import aggregate_variances
-from repro.hurst.dfa import dfa_fluctuations
-from repro.hurst.rs import default_window_sizes, rs_statistics
 from repro.parallel import (
     default_workers,
     get_default_workers,
-    parallel_aggregate_variances,
-    parallel_average_variance,
-    parallel_dfa_fluctuations,
-    parallel_instance_means,
-    parallel_rs_statistics,
-    parallel_tail_probabilities,
     resolve_workers,
     run_shards,
     set_default_workers,
 )
-from repro.queueing.simulation import queue_occupancy, tail_probabilities
 from repro.traffic.synthetic import fgn_trace
 
 N = 1 << 13
@@ -54,109 +46,40 @@ SAMPLERS = [
 ]
 
 
+def _dispatch(fn, tasks, workers):
+    return list(run_shards(fn, tasks, workers=workers))
+
+
 class TestEnsembleDeterminism:
+    """Whole ensembles as dispatch tasks, one task per seed."""
+
     @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.name)
     def test_workers_1_vs_4_bit_identical(self, trace, sampler):
-        one = parallel_instance_means(sampler, trace, N_INSTANCES, SEED, workers=1)
-        four = parallel_instance_means(sampler, trace, N_INSTANCES, SEED, workers=4)
-        np.testing.assert_array_equal(one, four)
+        tasks = [(sampler, trace, N_INSTANCES, SEED + i) for i in range(4)]
+        one = _dispatch(instance_means, tasks, 1)
+        four = _dispatch(instance_means, tasks, 4)
+        for a, b in zip(one, four):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("sampler", SAMPLERS, ids=lambda s: s.name)
     def test_matches_sequential_path(self, trace, sampler):
-        sequential = instance_means(sampler, trace, N_INSTANCES, SEED)
-        parallel = parallel_instance_means(
-            sampler, trace, N_INSTANCES, SEED, workers=4
-        )
-        np.testing.assert_array_equal(sequential, parallel)
+        tasks = [(sampler, trace, N_INSTANCES, SEED + i) for i in range(3)]
+        for task, dispatched in zip(tasks, _dispatch(instance_means, tasks, 4)):
+            np.testing.assert_array_equal(instance_means(*task), dispatched)
 
     def test_shard_count_does_not_matter(self, trace):
-        sampler = SAMPLERS[0]
+        tasks = [(SAMPLERS[0], trace, N_INSTANCES, SEED + i) for i in range(5)]
         results = [
-            parallel_instance_means(sampler, trace, N_INSTANCES, SEED, workers=w)
-            for w in (1, 2, 3, 4, N_INSTANCES, N_INSTANCES + 5)
+            _dispatch(instance_means, tasks, w) for w in (1, 2, 3, 4, 5, 9)
         ]
         for other in results[1:]:
-            np.testing.assert_array_equal(results[0], other)
+            for a, b in zip(results[0], other):
+                np.testing.assert_array_equal(a, b)
 
     def test_average_variance_exact(self, trace):
-        sampler = SAMPLERS[3]
-        sequential = average_variance(sampler, trace, N_INSTANCES, SEED)
-        parallel = parallel_average_variance(
-            sampler, trace, N_INSTANCES, SEED, workers=4
-        )
-        assert sequential == parallel
-
-    def test_instance_means_workers_kwarg_routes_to_engine(self, trace):
-        sampler = SAMPLERS[1]
-        np.testing.assert_array_equal(
-            instance_means(sampler, trace, N_INSTANCES, SEED, workers=4),
-            instance_means(sampler, trace, N_INSTANCES, SEED),
-        )
-
-
-class TestEstimatorDeterminism:
-    """Sharded estimators match the sequential path; an odd shard count
-    (3) cuts the joint cost line at uneven row boundaries."""
-
-    @pytest.mark.parametrize("workers", [1, 3, 4])
-    def test_rs_statistics(self, trace, workers):
-        sizes = default_window_sizes(N)
-        sequential = rs_statistics(trace.values, sizes)
-        sharded = parallel_rs_statistics(trace.values, sizes, workers=workers)
-        np.testing.assert_allclose(sequential, sharded, rtol=1e-12, atol=1e-12)
-
-    def test_rs_degenerate_sizes_nan(self, trace):
-        sizes = np.array([1, N * 2, 64])
-        sequential = rs_statistics(trace.values, sizes)
-        parallel = parallel_rs_statistics(trace.values, sizes, workers=4)
-        np.testing.assert_array_equal(np.isnan(sequential), np.isnan(parallel))
-        np.testing.assert_allclose(
-            sequential[2], parallel[2], rtol=1e-12, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("workers", [1, 3, 4])
-    def test_aggregate_variances(self, trace, workers):
-        sizes = np.unique(np.geomspace(2, N // 8, 8).astype(np.int64))
-        sequential = aggregate_variances(trace.values, sizes)
-        sharded = parallel_aggregate_variances(
-            trace.values, sizes, workers=workers
-        )
-        np.testing.assert_allclose(sequential, sharded, rtol=1e-12, atol=1e-12)
-
-    def test_aggregate_variances_oversized_block_rejected(self, trace):
-        with pytest.raises(ParameterError, match="no complete block"):
-            parallel_aggregate_variances(
-                trace.values, [N * 2], workers=4
-            )
-
-    def test_aggregate_variances_invalid_block_rejected(self, trace):
-        """Same error contract as the sequential path's block_means."""
-        for bad in (0, -2):
-            with pytest.raises(ParameterError, match="block must be >= 1"):
-                parallel_aggregate_variances(trace.values, [bad], workers=4)
-
-    @pytest.mark.parametrize("workers", [1, 3, 4])
-    def test_dfa_fluctuations(self, trace, workers):
-        sizes = default_window_sizes(N)
-        sequential = dfa_fluctuations(trace.values, sizes)
-        sharded = parallel_dfa_fluctuations(trace.values, sizes, workers=workers)
-        np.testing.assert_allclose(sequential, sharded, rtol=1e-12, atol=1e-12)
-
-    def test_all_degenerate_sizes_all_nan(self, trace):
-        sizes = np.array([1, N * 2])
-        sequential = rs_statistics(trace.values, sizes)
-        parallel = parallel_rs_statistics(trace.values, sizes, workers=4)
-        assert np.isnan(sequential).all() and np.isnan(parallel).all()
-
-    def test_tail_probabilities_exact(self, trace):
-        arrivals = trace.values - trace.values.min() + 0.1
-        occupancy = queue_occupancy(arrivals, capacity=float(arrivals.mean()) / 0.8)
-        thresholds = np.geomspace(0.1, max(float(occupancy.max()), 1.0), 64)
-        sequential = tail_probabilities(occupancy, thresholds)
-        one = parallel_tail_probabilities(occupancy, thresholds, workers=1)
-        four = parallel_tail_probabilities(occupancy, thresholds, workers=4)
-        np.testing.assert_array_equal(sequential, one)
-        np.testing.assert_array_equal(one, four)
+        tasks = [(SAMPLERS[3], trace, N_INSTANCES, SEED + i) for i in range(3)]
+        dispatched = _dispatch(average_variance, tasks, 4)
+        assert dispatched == [average_variance(*task) for task in tasks]
 
 
 class TestWorkerConfig:
@@ -188,12 +111,14 @@ class TestWorkerConfig:
         with pytest.raises(ParameterError, match="workers"):
             set_default_workers(0)
 
-    def test_session_default_drives_instance_means(self, trace):
-        sampler = SAMPLERS[0]
-        baseline = instance_means(sampler, trace, N_INSTANCES, SEED)
-        with default_workers(4):
-            routed = instance_means(sampler, trace, N_INSTANCES, SEED)
-        np.testing.assert_array_equal(baseline, routed)
+    def test_session_default_drives_run_shards(self):
+        tasks = [(x,) for x in range(4)]
+        with obs.telemetry() as col:
+            assert _dispatch(_square, tasks, None) == [0, 1, 4, 9]
+        assert "executor.pool_forks" not in col.counters
+        with obs.telemetry() as col, default_workers(2):
+            assert _dispatch(_square, tasks, None) == [0, 1, 4, 9]
+        assert col.counters["executor.pool_forks"] == 1
 
 
 def _square(x):
@@ -206,21 +131,25 @@ def _fail(x):
 
 class TestRunShards:
     def test_order_preserved(self):
-        assert run_shards(_square, [(3,), (1,), (2,)], workers=4) == [9, 1, 4]
+        assert _dispatch(_square, [(3,), (1,), (2,)], 4) == [9, 1, 4]
 
     def test_serial_for_single_task(self):
-        assert run_shards(_square, [(5,)], workers=8) == [25]
+        assert _dispatch(_square, [(5,)], 8) == [25]
 
     def test_empty_tasks(self):
-        assert run_shards(_square, [], workers=4) == []
+        assert _dispatch(_square, [], 4) == []
 
     def test_worker_exceptions_propagate(self):
         with pytest.raises(ValueError, match="worker exploded"):
-            run_shards(_fail, [(1,), (2,)], workers=4)
+            _dispatch(_fail, [(1,), (2,)], 4)
 
     def test_worker_exceptions_propagate_serially(self):
         with pytest.raises(ValueError, match="worker exploded"):
-            run_shards(_fail, [(1,)], workers=1)
+            _dispatch(_fail, [(1,)], 1)
+
+    def test_invalid_workers_rejected_at_call(self):
+        with pytest.raises(ParameterError, match="workers"):
+            run_shards(_square, [(1,)], workers=0)
 
 
 class TestExperimentWorkersWiring:

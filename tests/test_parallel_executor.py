@@ -22,7 +22,23 @@ def _double(x):
     return 2 * x
 
 
+def _nested_run_shards(x):
+    """Worker that itself dispatches — must degrade, never deadlock."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return list(run_shards(_double, [(x,), (x + 1,)], workers=2))
+
+
 class TestEnvDefault:
+    @pytest.fixture(autouse=True)
+    def _restore_session_default(self, monkeypatch):
+        # Reading the env also records where the default came from; put
+        # both back so later tests see an untouched session.
+        monkeypatch.setattr(executor, "_DEFAULT_WORKERS",
+                            executor._DEFAULT_WORKERS)
+        monkeypatch.setattr(executor, "_WORKERS_SOURCE",
+                            executor._WORKERS_SOURCE)
+
     def test_unset_means_one(self, monkeypatch):
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         assert executor._workers_from_env() == 1
@@ -98,65 +114,22 @@ class TestLoudSerialFallback:
 
         monkeypatch.setattr(once, "_SEEN", set())
         with pytest.warns(RuntimeWarning, match="semaphores unavailable"):
-            assert run_shards(_double, [(1,), (2,)], workers=2) == [2, 4]
+            assert list(run_shards(_double, [(1,), (2,)], workers=2)) == [2, 4]
         # Second failure in the same session is silent (one-time warning).
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_shards(_double, [(3,), (4,)], workers=2) == [6, 8]
+            assert list(run_shards(_double, [(3,), (4,)], workers=2)) == [6, 8]
+
+    def test_nested_dispatch_degrades_serially_not_deadlocks(self):
+        # A pool worker is daemonic and may not fork a pool of its own.
+        results = run_shards(_nested_run_shards, [(1,), (5,)], workers=2)
+        assert list(results) == [[2, 4], [10, 12]]
 
     def test_serial_path_never_warns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert run_shards(_double, [(5,)], workers=4) == [10]
+            assert list(run_shards(_double, [(5,)], workers=4)) == [10]
 
 
 def test_pool_start_method_is_real():
     assert pool_start_method() in multiprocessing.get_all_start_methods()
-
-
-class TestPersistentPoolDeterminism:
-    """A multi-call session on the persistent runtime is bit-identical to
-    fresh-pool and serial runs — the PR 4 acceptance pin."""
-
-    def test_multi_call_session_bit_identical(self):
-        import numpy as np
-
-        from repro.core.systematic import SystematicSampler
-        from repro.parallel import parallel_instance_means, pool_runtime
-        from repro.traffic.synthetic import fgn_trace
-
-        trace = fgn_trace(1 << 13, 20260726)
-        sampler = SystematicSampler(interval=64, offset=None)
-
-        def session(workers):
-            return [
-                parallel_instance_means(sampler, trace, 12, 20260726 + i,
-                                        workers=workers)
-                for i in range(3)
-            ]
-
-        serial = session(1)
-        fresh = session(4)
-        with pool_runtime() as rt:
-            pooled = session(4)
-            assert rt.forks <= 1  # the whole session shared one pool
-        for a, b, c in zip(serial, fresh, pooled):
-            np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(a, c)
-
-    def test_estimators_identical_on_reused_pool(self):
-        import numpy as np
-
-        from repro.hurst.rs import default_window_sizes
-        from repro.parallel import parallel_rs_statistics, pool_runtime
-        from repro.traffic.synthetic import fgn_trace
-
-        x = fgn_trace(1 << 13, 7).values
-        sizes = default_window_sizes(x.size)
-        fresh = parallel_rs_statistics(x, sizes, workers=4)
-        with pool_runtime():
-            pooled = [parallel_rs_statistics(x, sizes, workers=4)
-                      for __ in range(3)]
-        for p in pooled:
-            # Same plan, same partials, same merge order: exact equality.
-            np.testing.assert_array_equal(fresh, p)

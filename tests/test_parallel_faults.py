@@ -1,13 +1,13 @@
 """Supervised dispatch: worker-loss recovery, deadlines, retry budgets.
 
-Pins the PR 6 tentpole contracts on both pool paths (fresh and
-persistent): a killed worker loses only its own shards and the retry is
-bit-identical; a shard that blows its deadline is re-dispatched; an
-exhausted budget raises :class:`RetryBudgetError` *and leaves the
-session usable* (the pool is recycled, not poisoned); a worker
-exception still propagates unchanged; and dispatch under
-``max_attempts=1`` is supervised too, so a dead worker fails the call
-instead of hanging it.
+Pins the supervision contracts of the per-call pool: a killed worker
+costs a retry of the tasks in flight and the retry is bit-identical; a
+task that blows its deadline is re-dispatched, and a deadline counts
+from when a worker takes the task, not from when the call queued it; an
+exhausted budget raises :class:`RetryBudgetError` and leaves no worker
+behind; a worker exception still propagates unchanged; and dispatch
+under ``max_attempts=1`` is supervised too, so a dead worker fails the
+call instead of hanging it.
 
 Timing discipline: injected delays are the only sleeps, deadlines are
 an order of magnitude above poll granularity, and no assertion depends
@@ -16,6 +16,7 @@ on wall-clock beyond "the 5 s hang did not happen".
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -25,8 +26,8 @@ from pathlib import Path
 import pytest
 
 import repro.faults as faults
+import repro.obs as obs
 import repro.parallel.executor as executor
-import repro.parallel.runtime as runtime_module
 from repro.errors import (
     ParameterError,
     RetryBudgetError,
@@ -35,7 +36,6 @@ from repro.faults import fault_plan
 from repro.parallel import (
     RetryPolicy,
     get_retry_policy,
-    pool_runtime,
     resolve_retry_policy,
     retry_policy,
     run_shards,
@@ -53,6 +53,15 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"worker exploded on {x}")
+
+
+def _nap(x):
+    time.sleep(0.2)
+    return x
+
+
+def _run(tasks, **kwargs):
+    return list(run_shards(_square, tasks, **kwargs))
 
 
 #: Four shards at workers=2 with shard 1 SIGKILLing its worker once (a
@@ -73,13 +82,29 @@ def square_killing_shard_one_once(x):
 
 tasks = [(i,) for i in range(4)]
 try:
-    run_shards(square_killing_shard_one_once, tasks, workers=2,
-               policy=RetryPolicy(max_attempts=1))
+    list(run_shards(square_killing_shard_one_once, tasks, workers=2,
+                    policy=RetryPolicy(max_attempts=1)))
 except RetryBudgetError:
     print("RetryBudgetError")
 os.remove(MARKER)
-print(run_shards(square_killing_shard_one_once, tasks, workers=2,
-                 policy=RetryPolicy(max_attempts=2, backoff_base=0.01)))
+print(list(run_shards(square_killing_shard_one_once, tasks, workers=2,
+                      policy=RetryPolicy(max_attempts=2, backoff_base=0.01))))
+"""
+
+
+#: A script that exits while its dispatch is still open: one result taken,
+#: five tasks pending or in flight, the iterator never closed.
+OPEN_AT_EXIT_SNIPPET = """
+import time
+from repro.parallel import run_shards
+
+def nap(x):
+    time.sleep(0.1)
+    return x
+
+if __name__ == "__main__":
+    results = run_shards(nap, [(i,) for i in range(6)], workers=2)
+    print(next(results))
 """
 
 
@@ -142,12 +167,11 @@ class TestRetryPolicy:
             set_retry_policy(before)
 
 
-# -------------------------------------------------- fresh-pool supervision
+# ------------------------------------------------------ pool supervision
 class TestFreshPoolRecovery:
     def test_kill_recovery_is_bit_identical(self):
         with fault_plan("kill:shard=1"):
-            got = run_shards(_square, [(i,) for i in range(4)],
-                             workers=2, fresh_pool=True, policy=FAST)
+            got = _run([(i,) for i in range(4)], workers=2, policy=FAST)
         assert got == [0, 1, 4, 9]
 
     def test_deadline_retry_recovers_a_hung_shard(self):
@@ -155,28 +179,41 @@ class TestFreshPoolRecovery:
                                backoff_base=0.01)
         start = time.monotonic()
         with fault_plan("delay:shard=0:seconds=5"):
-            got = run_shards(_square, [(i,) for i in range(3)],
-                             workers=2, fresh_pool=True, policy=deadline)
+            got = _run([(i,) for i in range(3)], workers=2, policy=deadline)
         elapsed = time.monotonic() - start
         assert got == [0, 1, 4]
         # The 5 s injected hang must have been abandoned, not waited out.
         assert elapsed < 4.0
 
+    def test_deadline_counts_from_start_not_from_queueing(self):
+        """Eight 0.2 s tasks on two workers take 0.8 s in all, but none
+        runs for longer than 0.2 s: a 0.5 s deadline must never fire,
+        even with no retries allowed."""
+        tasks = [(i,) for i in range(8)]
+        for attempts in (3, 1):
+            policy = RetryPolicy(max_attempts=attempts, shard_deadline=0.5)
+            with obs.telemetry() as col:
+                got = list(run_shards(_nap, tasks, workers=2, policy=policy))
+            assert got == list(range(8))
+            for counter in ("executor.deadline_misses", "executor.retries",
+                            "executor.pool_recycles"):
+                assert counter not in col.counters, col.counters
+            assert col.counters["executor.pool_forks"] == 1
+
     def test_budget_exhaustion_raises_with_detail(self):
         with fault_plan("kill:shard=1:attempt=*"):
             with pytest.raises(RetryBudgetError, match="3 attempt"):
-                run_shards(_square, [(i,) for i in range(4)],
-                           workers=2, fresh_pool=True, policy=FAST)
+                _run([(i,) for i in range(4)], workers=2, policy=FAST)
 
     def test_worker_exception_still_propagates(self):
         with pytest.raises(ValueError, match="worker exploded on"):
-            run_shards(_boom, [(i,) for i in range(4)],
-                       workers=2, fresh_pool=True, policy=FAST)
+            list(run_shards(_boom, [(i,) for i in range(4)],
+                            workers=2, policy=FAST))
 
     def test_serial_path_ignores_kill_but_applies_delay(self):
         start = time.monotonic()
         with fault_plan("kill:shard=0,delay:shard=1:seconds=0.05"):
-            got = run_shards(_square, [(i,) for i in range(3)], workers=1)
+            got = _run([(i,) for i in range(3)], workers=1)
         assert got == [0, 1, 4]
         assert time.monotonic() - start >= 0.05
 
@@ -201,49 +238,69 @@ class TestFreshPoolRecovery:
         """An injected kill costs one retry of the killed shard, even
         under the smallest budget that allows a retry."""
         with fault_plan("kill:shard=1"):
-            got = run_shards(_square, [(i,) for i in range(4)], workers=2,
-                             fresh_pool=True,
-                             policy=RetryPolicy(max_attempts=2))
+            got = _run([(i,) for i in range(4)], workers=2,
+                       policy=RetryPolicy(max_attempts=2))
         assert got == [0, 1, 4, 9]
 
+    def test_exit_with_an_open_dispatch_does_not_hang(self, tmp_path):
+        """The open dispatch is finalized during interpreter shutdown,
+        where no thread can start: teardown must not wait for one."""
+        script = tmp_path / "open_at_exit.py"
+        script.write_text(OPEN_AT_EXIT_SNIPPET)
+        env = {"PYTHONPATH": "src", "PATH": os.environ.get("PATH", "")}
+        proc = subprocess.run(
+            [sys.executable, str(script)], capture_output=True, text=True,
+            timeout=60, cwd=Path(__file__).resolve().parent.parent, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["0"]
 
-# --------------------------------------------- persistent-pool supervision
+    def test_closing_early_tears_the_pool_down(self):
+        results = run_shards(_nap, [(i,) for i in range(6)], workers=2)
+        assert next(results) == 0
+        assert multiprocessing.active_children()
+        results.close()
+        assert not multiprocessing.active_children()
+
+
+# ------------------------------------------------ recovery across calls
 class TestRuntimeRecovery:
+    """Recovery as a session sees it: each call forks its own pool and
+    tears it down, so no failure can outlive the call it happened in."""
+
     def test_kill_recycles_pool_and_session_survives(self):
-        with pool_runtime(workers=2) as rt:
-            with fault_plan("kill:shard=1"):
-                got = run_shards(_square, [(i,) for i in range(4)],
-                                 workers=2, policy=FAST)
-            assert got == [0, 1, 4, 9]
-            # Recovery tore down the broken pool and forked a new one.
-            assert rt.forks == 2
-            # The recycled pool serves later dispatches normally.
-            again = run_shards(_square, [(i,) for i in range(4)],
-                               workers=2, policy=FAST)
-            assert again == [0, 1, 4, 9]
-            assert rt.forks == 2
+        with obs.telemetry() as col, fault_plan("kill:shard=1"):
+            got = _run([(i,) for i in range(4)], workers=2, policy=FAST)
+        assert got == [0, 1, 4, 9]
+        # Recovery tore down the broken pool and forked one new one.
+        assert col.counters["executor.pool_forks"] == 2
+        assert col.counters["executor.pool_recycles"] == 1
+        assert not multiprocessing.active_children()
+        assert _run([(i,) for i in range(4)], workers=2, policy=FAST) == [
+            0, 1, 4, 9
+        ]
 
     def test_budget_exhaustion_does_not_poison_the_session(self):
-        with pool_runtime(workers=2):
-            with fault_plan("kill:shard=1:attempt=*"):
-                with pytest.raises(RetryBudgetError):
-                    run_shards(_square, [(i,) for i in range(4)],
-                               workers=2, policy=FAST)
-            got = run_shards(_square, [(i,) for i in range(4)],
-                             workers=2, policy=FAST)
-            assert got == [0, 1, 4, 9]
+        with fault_plan("kill:shard=1:attempt=*"):
+            with pytest.raises(RetryBudgetError):
+                _run([(i,) for i in range(4)], workers=2, policy=FAST)
+        assert not multiprocessing.active_children()
+        assert _run([(i,) for i in range(4)], workers=2, policy=FAST) == [
+            0, 1, 4, 9
+        ]
 
     def test_healthy_supervised_dispatch_forks_once(self):
-        with pool_runtime(workers=2) as rt:
+        with obs.telemetry() as col:
             for _ in range(3):
-                got = run_shards(_square, [(i,) for i in range(4)],
-                                 workers=2, policy=FAST)
-                assert got == [0, 1, 4, 9]
-            assert rt.forks == 1
+                assert _run([(i,) for i in range(4)], workers=2,
+                            policy=FAST) == [0, 1, 4, 9]
+        # One pool per call, none kept between calls.
+        assert col.counters["executor.pool_forks"] == 3
+        assert not multiprocessing.active_children()
 
 
 def test_module_state_clean():
     """Last in file: no test may leak session supervision state."""
-    assert runtime_module._ACTIVE_RUNTIME is None
+    assert not multiprocessing.active_children()
     assert executor.get_retry_policy() == RetryPolicy()
     assert faults.active_plan() is None

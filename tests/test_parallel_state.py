@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError
 from repro.parallel.state import (
-    AggVarState,
-    EnsembleMeansState,
     MergeableState,
     MomentState,
-    RSState,
     TailHistogramState,
-    merge_states,
 )
 
 
@@ -49,24 +47,10 @@ class TestMomentState:
     def test_merge_order_near_invariant(self):
         rng = np.random.default_rng(2)
         parts = [MomentState.from_values(rng.normal(size=100)) for _ in range(5)]
-        forward = merge_states(parts)
-        backward = merge_states(parts[::-1])
+        forward = reduce(MomentState.merge, parts)
+        backward = reduce(MomentState.merge, parts[::-1])
         assert forward.mean == pytest.approx(backward.mean, rel=1e-12)
         assert forward.variance == pytest.approx(backward.variance, rel=1e-12)
-
-
-class TestEnsembleMeansState:
-    def test_merge_restores_order(self):
-        a = EnsembleMeansState(start=0, means=np.array([1.0, 2.0]))
-        b = EnsembleMeansState(start=2, means=np.array([3.0]))
-        for merged in (a.merge(b), b.merge(a)):
-            np.testing.assert_array_equal(merged.finalize(), [1.0, 2.0, 3.0])
-
-    def test_non_adjacent_rejected(self):
-        a = EnsembleMeansState(start=0, means=np.array([1.0]))
-        c = EnsembleMeansState(start=5, means=np.array([2.0]))
-        with pytest.raises(ParameterError, match="non-adjacent"):
-            a.merge(c)
 
 
 class TestTailHistogramState:
@@ -103,46 +87,7 @@ class TestTailHistogramState:
             a.merge(b)
 
 
-class TestRSState:
-    def test_no_finite_windows_is_nan(self):
-        state = RSState(
-            finite_sum=np.zeros(2), finite_count=np.zeros(2, dtype=np.int64)
-        )
-        assert np.all(np.isnan(state.finalize()))
-
-    def test_merge_sums(self):
-        a = RSState(finite_sum=np.array([2.0]), finite_count=np.array([1]))
-        b = RSState(finite_sum=np.array([4.0]), finite_count=np.array([1]))
-        np.testing.assert_allclose(a.merge(b).finalize(), [3.0])
-
-
-class TestAggVarState:
-    def test_merge_matches_whole_variance(self):
-        rng = np.random.default_rng(3)
-        means = rng.normal(size=101)
-        a = AggVarState.from_block_means([means[:40]])
-        b = AggVarState.from_block_means([means[40:]])
-        np.testing.assert_allclose(
-            a.merge(b).finalize(), [means.var()], rtol=1e-12
-        )
-
-    def test_empty_level_stays_nan(self):
-        state = AggVarState.from_block_means([np.empty(0)])
-        assert np.all(np.isnan(state.finalize()))
-
-
 class TestProtocol:
     def test_states_satisfy_protocol(self):
-        instances = [
-            MomentState(),
-            EnsembleMeansState(start=0, means=np.empty(0)),
-            TailHistogramState.empty(1),
-            RSState(np.zeros(1), np.zeros(1, dtype=np.int64)),
-            AggVarState.from_block_means([np.empty(0)]),
-        ]
-        for state in instances:
+        for state in (MomentState(), TailHistogramState.empty(1)):
             assert isinstance(state, MergeableState)
-
-    def test_merge_states_empty_rejected(self):
-        with pytest.raises(ParameterError, match="empty"):
-            merge_states([])

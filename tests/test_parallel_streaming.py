@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ParameterError, TraceFormatError
 from repro.parallel.streaming import (
     chunked,
-    parallel_chunk_tail_probabilities,
     prefetch_chunks,
     streamed_moments,
     streamed_queue_tail_probabilities,
@@ -49,10 +48,6 @@ class TestChunked:
         for bad in (0, 2.5, True):
             with pytest.raises(ParameterError, match="chunk_size"):
                 list(chunked(np.arange(4), bad))
-            with pytest.raises(ParameterError, match="chunk_size"):
-                parallel_chunk_tail_probabilities(
-                    np.arange(4.0), [1.0], chunk_size=bad, workers=2
-                )
 
 
 class TestStreamedMoments:
@@ -82,21 +77,9 @@ class TestStreamedTailProbabilities:
         streamed = streamed_tail_probabilities(chunked(q, 311), thresholds)
         np.testing.assert_array_equal(whole, streamed)
 
-    def test_parallel_chunks_bit_identical(self):
-        rng = np.random.default_rng(14)
-        q = rng.exponential(2.0, size=3000)
-        thresholds = np.geomspace(0.1, 20.0, 25)
-        whole = tail_probabilities(q, thresholds)
-        chunk_parallel = parallel_chunk_tail_probabilities(
-            q, thresholds, chunk_size=500, workers=4
-        )
-        np.testing.assert_array_equal(whole, chunk_parallel)
-
     def test_empty_series_rejected(self):
         with pytest.raises(ParameterError, match="empty"):
-            parallel_chunk_tail_probabilities(
-                np.empty(0), [1.0], chunk_size=10, workers=2
-            )
+            streamed_tail_probabilities(chunked(np.empty(0), 10), [1.0])
 
 
 class TestStreamedQueue:

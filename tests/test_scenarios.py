@@ -5,9 +5,9 @@ The acceptance properties this file pins:
 * the built-in smoke campaign exercises >= 4 traffic models x >= 3
   sampling techniques (the coverage the subsystem exists for);
 * ``workers=4`` produces a result store byte-identical to ``workers=1``
-  (cells route their ensembles through the sharded engine, which is
-  bit-deterministic, and nothing else in a record may depend on the
-  machine);
+  (cells are pure functions of their seed labels, their records are
+  appended in canonical order, and nothing else in a record may depend
+  on the machine);
 * a campaign killed mid-run — including mid-append — and re-run with
   ``resume=True`` skips every completed cell, re-executes none of them,
   and converges to a byte-identical store.
@@ -268,6 +268,23 @@ class TestDeterminism:
 
 # ------------------------------------------------------------------ resume
 class TestResume:
+    @pytest.mark.parametrize("max_cells", [2.5, True, -1])
+    def test_invalid_max_cells_rejected_before_the_store_opens(
+        self, tmp_path, mini_registered, max_cells
+    ):
+        with pytest.raises(ParameterError, match="max_cells"):
+            run_campaign(
+                [mini_registered], campaign="ref", results_dir=tmp_path,
+                seed=SEED, smoke=True, max_cells=max_cells,
+            )
+        # Nothing was written, so a plain rerun is not refused.
+        assert not (tmp_path / "ref").exists()
+        summary = run_campaign(
+            [mini_registered], campaign="ref", results_dir=tmp_path,
+            seed=SEED, smoke=True, max_cells=1,
+        )
+        assert summary.executed == 1
+
     def test_killed_campaign_resumes_byte_identical(
         self, tmp_path, mini_registered
     ):

@@ -1,47 +1,37 @@
-"""Campaign-level cell scheduler: planner, knob, and byte-identity.
+"""Campaign cell dispatch: canonical order and byte-identity.
 
-The acceptance property: scheduling the *cell list* across the pool
-(``schedule="cells"``) must produce result stores and manifests
+The acceptance property: dispatching a campaign's pending cells in one
+``run_shards`` call must produce result stores and manifests
 byte-identical to the serial ``workers=1`` run — for every built-in
-campaign, under ``max_cells`` truncation, out-of-order completion, and
-injected cell-worker kills routed through retry and quarantine.
+campaign, at any worker count, under ``max_cells`` truncation,
+out-of-order completion, and injected cell-worker kills routed through
+retry and quarantine — and must commit each record as soon as its
+canonical prefix is complete.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 
 import pytest
 
 import repro.faults as faults
-import repro.parallel.executor as executor
-from repro.errors import ParameterError
+from repro.errors import InjectedFault, ParameterError
 from repro.faults import fault_plan
-from repro.parallel import (
-    SCHEDULE_MODES,
-    RetryPolicy,
-    default_schedule,
-    get_default_schedule,
-    resolve_schedule,
-    set_default_schedule,
-)
+from repro.parallel import RetryPolicy, default_workers
 from repro.scenarios import (
-    CellSchedule,
     SamplerSpec,
     Scenario,
     TrafficSpec,
     available_scenarios,
-    cell_cost,
-    cell_costs,
-    decide_schedule,
     evaluate_cell,
     expand_cells,
-    plan_campaign,
     register_scenario,
     run_campaign,
 )
 from repro.scenarios.registry import _REGISTRY
-from repro.scenarios.schedule import ROUND_FACTOR, iter_cell_results
+from repro.scenarios.schedule import iter_cell_results
 
 SEED = 20260726
 BUILTINS = available_scenarios()
@@ -54,9 +44,7 @@ RETRY = RetryPolicy(max_attempts=2, backoff_base=0.01)
 @pytest.fixture(autouse=True)
 def _clean_session_state(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_SCHEDULE", raising=False)
     monkeypatch.setattr(faults, "_SESSION_PLAN", None)
-    monkeypatch.setattr(executor, "_DEFAULT_SCHEDULE", None)
     faults.reset_shard_counter()
     yield
     faults.reset_shard_counter()
@@ -64,7 +52,7 @@ def _clean_session_state(monkeypatch):
 
 @pytest.fixture()
 def mini_registered():
-    """Four uniform-cost cells: 2 fGn traffics x 2 samplers."""
+    """Four small cells: 2 fGn traffics x 2 samplers."""
     scenario = Scenario(
         name="sched-mini",
         description="fixture",
@@ -83,34 +71,6 @@ def mini_registered():
     _REGISTRY.pop(scenario.name, None)
 
 
-@pytest.fixture()
-def skewed_registered():
-    """One dominant cell plus three cheap ones (cost ratio ~32:1)."""
-    big = Scenario(
-        name="sched-big",
-        description="fixture",
-        traffic=(TrafficSpec(model="fgn", n=16384, hurst=0.8),),
-        samplers=(SamplerSpec(kind="systematic", rate=0.05),),
-        n_instances=2,
-    )
-    small = Scenario(
-        name="sched-small",
-        description="fixture",
-        traffic=(TrafficSpec(model="fgn", n=512, hurst=0.8),),
-        samplers=(
-            SamplerSpec(kind="systematic", rate=0.05),
-            SamplerSpec(kind="stratified", rate=0.05),
-            SamplerSpec(kind="simple_random", rate=0.05),
-        ),
-        n_instances=2,
-    )
-    register_scenario(big)
-    register_scenario(small)
-    yield ["sched-big", "sched-small"]
-    _REGISTRY.pop("sched-big", None)
-    _REGISTRY.pop("sched-small", None)
-
-
 def _run(names, results_dir, **kwargs):
     kwargs.setdefault("workers", 1)
     kwargs.setdefault("campaign", "sched-test")
@@ -122,119 +82,16 @@ def _store_bytes(summary):
             summary.store.manifest_path.read_bytes())
 
 
-# ------------------------------------------------------------ session knob
-class TestScheduleKnob:
-    def test_env_unset_means_auto(self):
-        assert get_default_schedule() == "auto"
-        assert resolve_schedule(None) == "auto"
-
-    def test_env_value_is_normalised(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE", "  CELLS ")
-        monkeypatch.setattr(executor, "_DEFAULT_SCHEDULE", None)
-        assert get_default_schedule() == "cells"
-
-    def test_env_empty_means_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE", "")
-        monkeypatch.setattr(executor, "_DEFAULT_SCHEDULE", None)
-        assert get_default_schedule() == "auto"
-
-    def test_malformed_env_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE", "cell")
-        monkeypatch.setattr(executor, "_DEFAULT_SCHEDULE", None)
-        with pytest.raises(ParameterError, match="REPRO_SCHEDULE"):
-            resolve_schedule(None)
-
-    def test_explicit_mode_wins_over_malformed_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULE", "bogus")
-        monkeypatch.setattr(executor, "_DEFAULT_SCHEDULE", None)
-        assert resolve_schedule("ensembles") == "ensembles"
-        with default_schedule("cells"):
-            assert resolve_schedule(None) == "cells"
-
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(ParameterError, match="schedule"):
-            resolve_schedule("rows")
-        with pytest.raises(ParameterError, match="schedule"):
-            set_default_schedule("CELLS")  # exact tokens only via the API
-
-    def test_context_restores_previous_mode(self):
-        set_default_schedule("ensembles")
-        with default_schedule("cells"):
-            assert get_default_schedule() == "cells"
-        assert get_default_schedule() == "ensembles"
-
-    def test_none_context_is_a_noop(self):
-        set_default_schedule("cells")
-        with default_schedule(None):
-            assert get_default_schedule() == "cells"
-
-
-# ---------------------------------------------------------------- planner
-class TestPlanner:
-    def test_cell_cost_tracks_workload_knobs(self, mini_registered,
-                                             skewed_registered):
-        mini = expand_cells([mini_registered])
-        big, small = expand_cells(["sched-big"]), expand_cells(["sched-small"])
-        # Trace length dominates; every cost is a positive integer.
-        assert cell_cost(big[0]) > cell_cost(small[0])
-        assert all(c >= 1 for c in cell_costs(mini + big + small))
-        # Floor-normalisation: uniform grids collapse to all-ones.
-        assert cell_costs(mini) == [1, 1, 1, 1]
-        assert cell_costs([]) == []
-
-    def test_auto_serial_and_thin_grids_stay_on_ensembles(
-            self, mini_registered):
-        cells = expand_cells([mini_registered])
-        assert decide_schedule(None, cells, 1) == "ensembles"
-        assert decide_schedule(None, cells, 8) == "ensembles"  # 4 < 8
-        assert decide_schedule(None, cells, 4) == "cells"
-
-    def test_auto_giant_cell_guard(self, skewed_registered):
-        cells = expand_cells(skewed_registered)
-        costs = cell_costs(cells)
-        assert max(costs) * 4 > 2 * sum(costs)
-        assert decide_schedule(None, cells, 4) == "ensembles"
-
-    def test_explicit_mode_bypasses_the_heuristic(self, mini_registered):
-        cells = expand_cells([mini_registered])
-        assert decide_schedule("cells", cells, 1) == "cells"
-        assert decide_schedule("ensembles", cells, 64) == "ensembles"
-
-    def test_rounds_partition_the_cell_list(self):
-        cells = expand_cells(BUILTINS, smoke=True)
-        plan = plan_campaign(cells, workers=4, mode="cells")
-        assert plan.mode == "cells"
-        seen = [i for round_ in plan.rounds for i in round_]
-        assert sorted(seen) == list(range(len(cells)))
-        expected_rounds = -(-len(cells) // (ROUND_FACTOR * 4))
-        assert plan.n_rounds == expected_rounds
-        # LPT inside each round: costs never increase along the round.
-        for round_ in plan.rounds:
-            round_costs = [plan.costs[i] for i in round_]
-            assert round_costs == sorted(round_costs, reverse=True)
-
-    def test_uniform_costs_keep_canonical_order(self, mini_registered):
-        cells = expand_cells([mini_registered])
-        plan = plan_campaign(cells, workers=4, mode="cells")
-        # Stable LPT on all-equal costs: shard k is cell k, which is
-        # what makes fault-plan shard numbering predictable.
-        assert plan.rounds == ((0, 1, 2, 3),)
-
-    def test_ensembles_plan_is_empty(self, mini_registered):
-        cells = expand_cells([mini_registered])
-        plan = plan_campaign(cells, workers=4, mode="ensembles")
-        assert plan.mode == "ensembles"
-        assert plan.rounds == ()
-
-
 # ------------------------------------------------- out-of-order completion
 class TestCompletionOrder:
     def test_scrambled_round_yields_in_canonical_order(self, mini_registered):
+        """Cell 0 is held back until every other cell has finished; the
+        outcomes still arrive in canonical order, equal to evaluating
+        each cell directly."""
         cells = expand_cells([mini_registered])
-        scrambled = CellSchedule(mode="cells", costs=(1, 1, 1, 1),
-                                 rounds=((2, 0, 3, 1),))
-        got = list(iter_cell_results(scrambled, cells,
-                                     campaign="order-test", seed=SEED))
+        with fault_plan("delay:shard=0:seconds=0.5"), default_workers(2):
+            got = list(iter_cell_results(cells, campaign="order-test",
+                                         seed=SEED))
         assert [cell.key for cell, _ in got] == [c.key for c in cells]
         for cell, outcome in got:
             tag, record = outcome
@@ -243,32 +100,71 @@ class TestCompletionOrder:
             assert (json.dumps(record, sort_keys=True)
                     == json.dumps(direct, sort_keys=True))
 
+    def test_schedule_accepts_only_auto(self, mini_registered, tmp_path):
+        for mode in ("cells", "ensembles", "rows"):
+            with pytest.raises(ParameterError, match="schedule"):
+                _run([mini_registered], tmp_path / mode, schedule=mode)
+            assert not (tmp_path / mode).exists()
+        summary = _run([mini_registered], tmp_path / "auto", schedule="auto")
+        assert summary.executed == summary.n_cells
+
 
 # ----------------------------------------------------------- byte identity
 class TestByteIdentity:
     @pytest.mark.parametrize("name", BUILTINS)
     def test_builtin_smoke_campaigns_match_serial(self, name, tmp_path):
-        serial = _run([name], tmp_path / "serial", smoke=True,
-                      workers=1, schedule="ensembles", campaign=name)
-        cellwise = _run([name], tmp_path / "cells", smoke=True,
-                        workers=4, schedule="cells", campaign=name)
-        assert cellwise.executed == serial.executed == serial.n_cells
-        assert _store_bytes(cellwise) == _store_bytes(serial)
+        serial = _run([name], tmp_path / "w1", smoke=True, workers=1,
+                      campaign=name)
+        for workers in (2, 4):
+            parallel = _run([name], tmp_path / f"w{workers}", smoke=True,
+                            workers=workers, campaign=name)
+            assert parallel.executed == serial.executed == serial.n_cells
+            assert _store_bytes(parallel) == _store_bytes(serial)
 
     def test_max_cells_truncates_identically(self, mini_registered, tmp_path):
         serial = _run([mini_registered], tmp_path / "serial",
-                      max_cells=3, workers=1, schedule="ensembles")
-        cellwise = _run([mini_registered], tmp_path / "cells",
-                        max_cells=3, workers=4, schedule="cells")
-        assert cellwise.executed == serial.executed == 3
-        assert _store_bytes(cellwise) == _store_bytes(serial)
+                      max_cells=3, workers=1)
+        parallel = _run([mini_registered], tmp_path / "parallel",
+                        max_cells=3, workers=4)
+        assert parallel.executed == serial.executed == 3
+        assert _store_bytes(parallel) == _store_bytes(serial)
         # The fourth cell still completes on resume, either way.
-        resumed = _run([mini_registered], tmp_path / "cells",
-                       resume=True, workers=4, schedule="cells")
+        resumed = _run([mini_registered], tmp_path / "parallel",
+                       resume=True, workers=4)
         finished = _run([mini_registered], tmp_path / "serial",
-                        resume=True, workers=1, schedule="ensembles")
+                        resume=True, workers=1)
         assert resumed.executed == finished.executed == 1
         assert _store_bytes(resumed) == _store_bytes(finished)
+
+
+# ------------------------------------------------------- prefix commits
+class TestPrefixCommit:
+    def test_torn_append_keeps_the_canonical_prefix(self, tmp_path):
+        """A torn third append at workers=2 leaves exactly the first two
+        canonical records plus the torn line, no live worker, and a
+        store that a resume brings back to the workers=1 bytes."""
+        name = "fgn-hurst-sweep"
+        with fault_plan(None):
+            serial = _run([name], tmp_path / "w1", smoke=True, campaign=name)
+        with fault_plan("torn:append=3"):
+            with pytest.raises(InjectedFault, match="tore append #3"):
+                _run([name], tmp_path / "w2", smoke=True, workers=2,
+                     campaign=name)
+        assert not multiprocessing.active_children()
+        path = tmp_path / "w2" / name / "results.jsonl"
+        lines = path.read_bytes().splitlines(keepends=True)
+        reference = serial.store.results_path.read_bytes().splitlines(
+            keepends=True
+        )
+        assert len(lines) == 3
+        assert lines[:2] == reference[:2]
+        assert not lines[2].endswith(b"\n")
+        assert reference[2].startswith(lines[2])
+        with fault_plan(None):
+            resumed = _run([name], tmp_path / "w2", smoke=True, workers=2,
+                           campaign=name, resume=True)
+        assert (resumed.skipped, resumed.executed) == (2, serial.n_cells - 2)
+        assert _store_bytes(resumed) == _store_bytes(serial)
 
 
 # -------------------------------------------------- faults and quarantine
@@ -279,10 +175,10 @@ class TestCellFaults:
             reference = _store_bytes(
                 _run([mini_registered], tmp_path / "ref")
             )
-        # Uniform grid: round shard k is cell k, so shard 0 is cell 0.
+        # One dispatch in canonical order: shard k is cell k.
         with fault_plan("kill:shard=0:attempt=*"):
             faulty = _run([mini_registered], tmp_path / "run",
-                          workers=2, schedule="cells", retry=RETRY)
+                          workers=2, retry=RETRY)
         assert faulty.quarantined == 1
         assert faulty.executed == faulty.n_cells - 1
         (sidecar,) = faulty.store.quarantined_records()
@@ -290,8 +186,7 @@ class TestCellFaults:
 
         with fault_plan(None):
             resumed = _run([mini_registered], tmp_path / "run",
-                           workers=2, schedule="cells", resume=True,
-                           retry=RETRY)
+                           workers=2, resume=True, retry=RETRY)
         assert resumed.executed == 1
         assert resumed.skipped == resumed.n_cells - 1
         assert not resumed.store.quarantine_path.exists()
@@ -304,13 +199,13 @@ class TestCellFaults:
             )
         with fault_plan("kill:shard=0"):
             summary = _run([mini_registered], tmp_path / "run",
-                           workers=2, schedule="cells", retry=RETRY)
+                           workers=2, retry=RETRY)
         assert summary.quarantined == 0
         assert summary.executed == summary.n_cells
         assert _store_bytes(summary) == reference
 
 
 def test_module_state_clean():
-    """Last in file: scheduling tests must not leak session state."""
-    assert get_default_schedule() in SCHEDULE_MODES
+    """Last in file: dispatch tests must not leak session state."""
+    assert not multiprocessing.active_children()
     assert faults.active_plan() is None

@@ -155,47 +155,6 @@ class TestRunPanel:
         )
         assert run_panel(spec).notes == ["total=12.0"]
 
-    def test_workers_bit_identical(self, trace):
-        spec = _spec(
-            trace,
-            series=(
-                EnsembleSeries(
-                    "sys", lambda x: SystematicSampler(interval=8, offset=None)
-                ),
-                RowGroup(
-                    ("lo", "hi"),
-                    lambda ctx, x: {
-                        "lo": float(
-                            ctx.instance_means(
-                                SystematicSampler(interval=16, offset=None),
-                                "lo", x,
-                            ).min()
-                        ),
-                        "hi": float(ctx.stream("hi", x).uniform()),
-                    },
-                ),
-            ),
-        )
-        one = run_panel(spec, workers=1)
-        four = run_panel(spec, workers=4)
-        assert one.series == four.series
-
-
-class TestParallelRows:
-    def test_rows_shard_deterministically(self, trace):
-        def cell(ctx, x):
-            return float(ctx.stream(None, x).uniform()) + x
-
-        spec = _spec(
-            trace,
-            x_values=tuple(float(i) for i in range(7)),
-            series=(CellSeries("v", cell, round_to=6),),
-            parallel_rows=True,
-        )
-        serial = run_panel(spec, workers=1)
-        sharded = run_panel(spec, workers=3)
-        assert serial.series == sharded.series
-
 
 class TestMakeRun:
     def test_single_spec_wrapped(self, trace):
@@ -203,9 +162,3 @@ class TestMakeRun:
         panels = run(scale=1.0, seed=SEED)
         assert len(panels) == 1
         assert panels[0].experiment_id == "panel"
-
-    def test_workers_kwarg_accepted(self, trace):
-        run = make_run(lambda *, scale, seed: [_spec(trace, seed=seed)])
-        a = run(seed=SEED)
-        b = run(seed=SEED, workers=2)
-        assert a[0].series == b[0].series
