@@ -93,7 +93,7 @@ class BellLabsLikeTrace:
         ``bin_width`` window, Pareto(alpha) marginal, Hurst ``hurst``,
         mean ``mean_rate * bin_width`` per bin.
         """
-        require_int_at_least("n_bins", n_bins, 2)
+        n_bins = require_int_at_least("n_bins", n_bins, 2)
         values = self._model().generate(n_bins, normalize_rng(rng))
         return RateProcess(values=values, bin_width=self.bin_width, unit="bytes/bin")
 

@@ -92,7 +92,7 @@ class ParetoLRDModel:
 
     def generate(self, n_ticks: int, rng=None) -> np.ndarray:
         """Synthesize ``n_ticks`` of Pareto-marginal LRD traffic."""
-        require_int_at_least("n_ticks", n_ticks, 1)
+        n_ticks = require_int_at_least("n_ticks", n_ticks, 1)
         gen = normalize_rng(rng)
         gaussian = fgn_davies_harte(n_ticks, self.hurst, gen)
         uniforms = np.clip(ndtr(gaussian), 0.0, 1.0 - _UNIFORM_EPS)

@@ -21,9 +21,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from repro.errors import GenerationError, ParameterError
+from repro.errors import GenerationError
 from repro.utils.rng import normalize_rng
-from repro.utils.validation import require_int_at_least, require_positive
+from repro.utils.validation import (
+    require_in_range,
+    require_int_at_least,
+    require_positive,
+)
 
 
 def fgn_autocovariance(hurst: float, n_lags: int, *, sigma: float = 1.0) -> np.ndarray:
@@ -38,9 +42,8 @@ def fgn_autocovariance(hurst: float, n_lags: int, *, sigma: float = 1.0) -> np.n
     sigma:
         Marginal standard deviation (gamma(0) = sigma**2).
     """
-    if not 0.0 < hurst < 1.0:
-        raise ParameterError(f"hurst must lie in (0, 1), got {hurst}")
-    require_int_at_least("n_lags", n_lags, 1)
+    require_in_range("hurst", hurst, 0.0, 1.0, inclusive=False)
+    n_lags = require_int_at_least("n_lags", n_lags, 1)
     require_positive("sigma", sigma)
     k = np.arange(n_lags, dtype=np.float64)
     two_h = 2.0 * hurst
@@ -105,7 +108,9 @@ def fgn_davies_harte(
         If numerical round-off produces eigenvalues below a small negative
         tolerance (should not happen for 0 < H < 1; guarded anyway).
     """
-    require_int_at_least("n", n, 1)
+    n = require_int_at_least("n", n, 1)
+    require_in_range("hurst", hurst, 0.0, 1.0, inclusive=False)
+    require_positive("sigma", sigma)
     gen = normalize_rng(rng)
     if n == 1:
         return gen.normal(0.0, sigma, size=1)
@@ -137,7 +142,7 @@ def fgn_hosking(
     few thousand points; this implementation exists as an independent
     cross-check and for short exact paths.
     """
-    require_int_at_least("n", n, 1)
+    n = require_int_at_least("n", n, 1)
     gen = normalize_rng(rng)
     gamma = fgn_autocovariance(hurst, n, sigma=sigma)
     rho = gamma / gamma[0]

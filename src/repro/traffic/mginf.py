@@ -71,7 +71,7 @@ class MGInfinityModel:
         session adds +rate at its arrival tick and -rate at its departure
         tick, and a final cumulative sum yields the occupancy.
         """
-        require_int_at_least("n_ticks", n_ticks, 1)
+        n_ticks = require_int_at_least("n_ticks", n_ticks, 1)
         gen = normalize_rng(rng)
         if warmup is None:
             # Long-memory occupancy needs a warm start; a few mean durations

@@ -121,7 +121,7 @@ class OnOffModel:
             source forget its synchronized start.  Defaults to
             ``min(n_ticks, 4096)``.
         """
-        require_int_at_least("n_ticks", n_ticks, 1)
+        n_ticks = require_int_at_least("n_ticks", n_ticks, 1)
         gen = normalize_rng(rng)
         if warmup is None:
             warmup = min(n_ticks, 4096)
@@ -153,7 +153,7 @@ class OnOffModel:
         self, n_ticks: int, rng=None, *, warmup: int | None = None
     ) -> np.ndarray:
         """One-sojourn-at-a-time loop that :meth:`generate` reproduces."""
-        require_int_at_least("n_ticks", n_ticks, 1)
+        n_ticks = require_int_at_least("n_ticks", n_ticks, 1)
         gen = normalize_rng(rng)
         if warmup is None:
             warmup = min(n_ticks, 4096)

@@ -53,7 +53,7 @@ def synthetic_trace(
     marginal; the default truncates at the once-in-1e7 quantile to mimic a
     finite capture.
     """
-    require_int_at_least("n", n, 2)
+    n = require_int_at_least("n", n, 2)
     model = ParetoLRDModel.from_mean(
         mean=mean, alpha=alpha, hurst=hurst, upper_ccdf=upper_ccdf
     )
@@ -70,7 +70,7 @@ def onoff_trace(
     bin_width: float = 1.0,
 ) -> RateProcess:
     """ns-2-style on/off aggregate trace with target Hurst ``hurst``."""
-    require_int_at_least("n", n, 2)
+    n = require_int_at_least("n", n, 2)
     model = OnOffModel.for_hurst(hurst, n_sources=n_sources)
     values = model.generate(n, normalize_rng(rng))
     return RateProcess(values=values, bin_width=bin_width, unit="units/bin")
@@ -91,7 +91,7 @@ def synthetic_packet_trace(
     pairs, and Pareto(``alpha``) wire sizes floored at 40 B and capped
     at the 1500 B MTU.
     """
-    require_int_at_least("n", n, 1)
+    n = require_int_at_least("n", n, 1)
     gen = normalize_rng(rng)
     timestamps = np.cumsum(gen.exponential(1e-3, n))
     sizes = np.minimum(40 + gen.pareto(alpha, n) * 100, 1500)
@@ -117,6 +117,6 @@ def fgn_trace(
     Used where an exactly-Gaussian LRD control is wanted (e.g. Hurst
     estimator calibration); not heavy-tailed.
     """
-    require_int_at_least("n", n, 2)
+    n = require_int_at_least("n", n, 2)
     values = mean + fgn_davies_harte(n, hurst, normalize_rng(rng), sigma=sigma)
     return RateProcess(values=values, bin_width=bin_width, unit="units/bin")

@@ -20,3 +20,15 @@ def rng_factory():
         return np.random.default_rng(1_000_003 + seed)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def results():
+    """Every panel of every figure at the golden scale and seed, by id.
+
+    Run once per session: the figure tests and the golden digests
+    (``tests/test_golden.py``) read the same panels.
+    """
+    import golden
+
+    return golden.run_panels()

@@ -43,13 +43,27 @@ class TestSampling:
         assert result.actual_rate == pytest.approx(0.05, rel=0.2)
         assert result.n_extra == 0
 
-    def test_bursty_traffic_triggers_boost(self, trace):
+    def test_bursty_traffic_triggers_boost(self):
+        """Bursts engage the boost, a property of the trace distribution.
+
+        One trace is one draw: the boost engages on 39 of 40 traces of
+        this recipe, so the claim is checked over eight of them.
+        Tolerance: the boost engages (``n_extra > 0``) on at least 6 of
+        the 8, and the mean realized rate exceeds the base rate.  Blocks
+        of 8 measured 7-8 engagements and mean rates 0.028-0.031; a
+        sampler that never boosts keeps 0 extras and ~0.02.
+        """
         sampler = AdaptiveRandomSampler(
             base_rate=0.02, boost_factor=8.0, trigger=1.2
         )
-        result = sampler.sample(trace, 3)
-        assert result.n_extra > 0
-        assert result.actual_rate > 0.02
+        results = [
+            sampler.sample(synthetic_trace(1 << 15, seed, alpha=1.3,
+                                           hurst=0.85), 3)
+            for seed in range(314, 322)
+        ]
+        engaged = sum(result.n_extra > 0 for result in results)
+        assert engaged >= 6, engaged
+        assert np.mean([result.actual_rate for result in results]) > 0.02
 
     def test_boost_improves_mean_on_heavy_tail(self, trace):
         """The whole point of the baseline: elevated-load sampling pulls

@@ -17,6 +17,7 @@ from repro.core.metrics import (
 from repro.core.simple_random import SimpleRandomSampler
 from repro.core.systematic import SystematicSampler
 from repro.core.variance import (
+    VarianceComparison,
     average_variance,
     bss_variance_pair,
     compare_variances,
@@ -30,6 +31,33 @@ from repro.traffic.synthetic import synthetic_trace
 @pytest.fixture(scope="module")
 def trace():
     return synthetic_trace(1 << 15, 4242)
+
+
+def _exact_variances(values: np.ndarray, interval: int) -> np.ndarray:
+    """Exact E(V) of systematic, stratified and simple random sampling
+    at rate ``1 / interval``, as ``compare_variances`` configures them.
+
+    Systematic: the mean over all ``interval`` offsets.  Stratified: one
+    uniform pick per stratum (the partial last stratum included), so
+    E(V) is the sum of within-stratum variances over the squared stratum
+    count plus the squared bias.  Simple random: ``round(n / interval)``
+    points without replacement, ``S^2 / k * (n - k) / n``.
+    """
+    n = values.size
+    mean = values.mean()
+    systematic = np.mean([
+        (SystematicSampler(interval, offset=offset).sample(values)
+         .sampled_mean - mean) ** 2
+        for offset in range(interval)
+    ])
+    strata = np.split(values, np.arange(interval, n, interval))
+    stratum_means = np.array([s.mean() for s in strata])
+    stratum_variances = np.array([s.var() for s in strata])
+    stratified = (stratum_variances.sum() / len(strata) ** 2
+                  + (stratum_means.mean() - mean) ** 2)
+    k = max(round(n / interval), 1)
+    simple = values.var(ddof=1) / k * (n - k) / n
+    return np.array([systematic, stratified, simple])
 
 
 class TestMetrics:
@@ -110,10 +138,45 @@ class TestAverageVariance:
 
 
 class TestCompareVariances:
-    def test_fig5_ordering(self, trace):
-        """Theorem 2: E(V_sys) <= E(V_strat) <= E(V_ran) (with slack)."""
-        comparison = compare_variances(trace, 1e-2, n_instances=48, rng=11)
-        assert comparison.ordering_holds
+    def test_fig5_ordering(self):
+        """Theorem 2: E(V_sys) <= E(V_strat) <= E(V_ran), with the 10%
+        slack of ``VarianceComparison.ordering_holds``.
+
+        At this operating point E(V_sys) ~ E(V_strat), so a 48-instance
+        Monte-Carlo draw on one trace resolves the ordering only by luck
+        (13 of 40 traces).  Instead every variance is exact per trace and
+        averaged over 32 traces: disjoint blocks of 32 measured
+        V_sys / V_strat 0.95-1.04 and V_strat / V_ran 0.96-0.97.
+        """
+        interval = 100
+        exact = np.array([
+            _exact_variances(synthetic_trace(1 << 15, seed).values, interval)
+            for seed in range(4242, 4274)
+        ])
+        systematic, stratified, simple = exact.mean(axis=0)
+        comparison = VarianceComparison(
+            rate=1 / interval, systematic=systematic, stratified=stratified,
+            simple_random=simple,
+        )
+        assert comparison.ordering_holds, comparison
+
+    def test_exact_variances_match_monte_carlo(self, trace):
+        """The closed forms of ``_exact_variances`` are the samplers' E(V).
+
+        Tolerance 25%: on 8 traces x 3 seeds the 4000-instance estimate
+        was at most 11% off (the heavy tail makes squared deviations
+        noisy); a stratified variance over half the strata is 50% off.
+        """
+        interval = 100
+        exact = _exact_variances(trace.values, interval)
+        estimated = compare_variances(
+            trace, 1 / interval, n_instances=4000, rng=11
+        )
+        np.testing.assert_allclose(
+            [estimated.systematic, estimated.stratified,
+             estimated.simple_random],
+            exact, rtol=0.25,
+        )
 
     def test_rate_too_low_rejected(self, trace):
         with pytest.raises(ParameterError):

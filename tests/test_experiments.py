@@ -7,25 +7,15 @@ values.
 
 from __future__ import annotations
 
+import golden
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError
 from repro.experiments import available_experiments, run_experiment
-from repro.experiments.runner import ExperimentResult
 
-SCALE = 0.1
-SEED = 77
-
-
-@pytest.fixture(scope="module")
-def results():
-    """Run every experiment once at small scale; cache panels by id."""
-    cache: dict[str, ExperimentResult] = {}
-    for name in available_experiments():
-        for panel in run_experiment(name, scale=SCALE, seed=SEED):
-            cache[panel.experiment_id] = panel
-    return cache
+# ``results`` (tests/conftest.py) holds every panel at golden.SCALE and
+# golden.SEED, run once per session.
 
 
 class TestHarness:
@@ -135,9 +125,21 @@ class TestAnalyticFigures:
 
 class TestTraceFigures:
     def test_fig06_eta_positive_at_low_rate(self, results):
-        for pid in ("fig06a", "fig06b"):
-            panel = results[pid]
-            assert panel.series["eta"][0] > 0.0, pid
+        """At the lowest rate the median sampled mean under-estimates.
+
+        One seed's eta is one draw (> 0 on 60 of 64 seeds for fig06a and
+        49 of 64 for fig06b), so the claim is on the mean eta over eight
+        seeds, the fixture's and the seven after it.  Tolerance: > 0;
+        disjoint blocks of 8 measured 0.08-0.34.
+        """
+        etas = {pid: [results[pid].series["eta"][0]]
+                for pid in ("fig06a", "fig06b")}
+        for seed in range(golden.SEED + 1, golden.SEED + 8):
+            for panel in run_experiment("fig06", scale=golden.SCALE,
+                                        seed=seed):
+                etas[panel.experiment_id].append(panel.series["eta"][0])
+        for pid, values in etas.items():
+            assert np.mean(values) > 0.0, (pid, values)
 
     def test_fig06_sampled_below_real_at_low_rate(self, results):
         panel = results["fig06a"]

@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from repro.errors import ParameterError
+from repro.traffic.belllabs import BellLabsLikeTrace
+from repro.traffic.copula import ParetoLRDModel
 from repro.traffic.fgn import fbm, fgn_autocovariance, fgn_davies_harte, fgn_hosking
+from repro.traffic.mginf import MGInfinityModel
+from repro.traffic.onoff import OnOffModel
+from repro.traffic.synthetic import (
+    fgn_trace,
+    onoff_trace,
+    synthetic_packet_trace,
+    synthetic_trace,
+)
 
 
 def empirical_acf(x: np.ndarray, lag: int) -> float:
@@ -156,3 +166,41 @@ class TestFbm:
         v2 = paths[:, n - 1].var()
         estimated_2h = np.log(v2 / v1) / np.log(4.0)
         assert estimated_2h == pytest.approx(2 * h, abs=0.4)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("generator", [fgn_davies_harte, fgn_hosking, fbm])
+    @pytest.mark.parametrize(
+        "hurst, sigma",
+        [(1.5, 1.0), (float("nan"), 1.0), (0.0, 1.0), (0.7, 0.0), (0.7, -1.0),
+         (0.7, float("inf"))],
+    )
+    def test_single_point_still_validates(self, generator, hurst, sigma):
+        """n = 1 skips the embedding, not the parameter checks."""
+        with pytest.raises(ParameterError):
+            generator(1, hurst, 0, sigma=sigma)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n: fgn_davies_harte(n, 0.8, 5),
+            lambda n: fgn_hosking(n, 0.8, 5),
+            lambda n: fbm(n, 0.8, 5),
+            lambda n: fgn_autocovariance(0.8, n),
+            lambda n: fgn_trace(n, 5).values,
+            lambda n: synthetic_trace(n, 5).values,
+            lambda n: onoff_trace(n, 5).values,
+            lambda n: synthetic_packet_trace(n, 5).sizes,
+            lambda n: ParetoLRDModel.from_mean(5.0, 1.5, 0.8).generate(n, 5),
+            lambda n: MGInfinityModel.for_hurst(0.8).generate(n, 5),
+            lambda n: OnOffModel.for_hurst(0.8).generate(n, 5),
+            lambda n: BellLabsLikeTrace().byte_process(n, 5).values,
+        ],
+        ids=["davies_harte", "hosking", "fbm", "autocovariance", "fgn_trace",
+             "synthetic_trace", "onoff_trace", "packet_trace", "pareto_lrd",
+             "mginf", "onoff", "bell_labs"],
+    )
+    def test_integral_float_size_is_the_int(self, make):
+        """Sizes pass ``require_int_at_least``, which takes ``64.0`` as
+        ``64``; the generator must then use that int."""
+        np.testing.assert_array_equal(make(64.0), make(64))
