@@ -54,16 +54,16 @@ def fgn_autocovariance(hurst: float, n_lags: int, *, sigma: float = 1.0) -> np.n
 
 
 def _circulant_scale(n: int, hurst: float, sigma: float) -> np.ndarray:
-    """``sqrt(eigenvalues / m)`` of the order-``m = 2n - 2`` circulant
-    embedding of fGn's autocovariance.
+    """``sqrt(eigenvalues / m)`` of the power-of-two circulant embedding
+    of fGn's autocovariance: the smallest ``m = 2**g >= 2(n - 1)``, with
+    first row ``[gamma_0 .. gamma_{m/2}, gamma_{m/2-1} .. gamma_1]``.
 
     A function of its own so that the autocovariance, the embedded row and
     its complex spectrum are freed before the weights are drawn: at
-    ``n = 2**19`` they hold 20 MB.
+    ``n = 2**19`` they hold 24 MB.
     """
-    gamma = fgn_autocovariance(hurst, n, sigma=sigma)
-    # Circulant first row [g0 .. g_{n-1}, g_{n-2} .. g1]: the mirror shares
-    # its ends with the head, so the order is 2n - 2, not 2n.
+    m = 1 << (2 * n - 3).bit_length()  # smallest power of two >= 2(n - 1)
+    gamma = fgn_autocovariance(hurst, m // 2 + 1, sigma=sigma)
     row = np.concatenate([gamma, gamma[-2:0:-1]])
     eigenvalues = scipy.fft.rfft(row).real
     min_eig = eigenvalues.min()
@@ -74,7 +74,7 @@ def _circulant_scale(n: int, hurst: float, sigma: float) -> np.ndarray:
                 f"(min eigenvalue {min_eig:.3e}); hurst={hurst}"
             )
         eigenvalues = np.clip(eigenvalues, 0.0, None)
-    return np.sqrt(eigenvalues / row.size)
+    return np.sqrt(eigenvalues / m)
 
 
 def fgn_davies_harte(
@@ -86,27 +86,24 @@ def fgn_davies_harte(
 ) -> np.ndarray:
     """Generate exact fGn via circulant embedding (Davies–Harte method).
 
-    The autocovariance sequence of length ``n`` is embedded in a circulant
-    matrix of order ``2n - 2`` with first row
-    ``[gamma_0 .. gamma_{n-1}, gamma_{n-2} .. gamma_1]``; its eigenvalues
-    (the FFT of that row) are provably non-negative for fGn, allowing exact
-    synthesis from complex Gaussian spectral weights.
-
-    Output bits are pinned to this embedding: the standard order-``2n``
-    embedding would give other paths for the same seed.  Its FFT length
-    ``2(n - 1)`` also sets the speed: when ``n - 1`` has a large prime
-    factor (``n = 2**17`` and ``2**19``, where ``n - 1`` is prime) the FFT
-    falls back to Bluestein's algorithm and costs several times more per
-    point than at ``n = 2**18`` (``2**18 - 1 = 3**3 * 7 * 19 * 73``).
-    ``scipy.fft`` keeps its plans between calls, so a repeated ``n`` does
-    not pay for the Bluestein set-up again; the kept plan for
-    ``n = 2**19`` holds about 65 MB.
+    The autocovariance is embedded in a circulant matrix whose order is
+    the smallest power of two ``m >= 2(n - 1)`` (``m = 2n`` when ``n`` is
+    a power of two), with first row
+    ``[gamma_0 .. gamma_{m/2}, gamma_{m/2-1} .. gamma_1]``.  Its
+    eigenvalues (the FFT of that row) are non-negative for fGn, so a
+    stationary Gaussian path of length ``m / 2 + 1`` follows exactly from
+    complex Gaussian spectral weights, and its first ``n`` points are
+    returned (Davies & Harte 1987; Wood & Chan 1994; Dietrich & Newsam
+    1997).  The power-of-two order keeps every FFT on ``scipy.fft``'s
+    fast radix path whatever the factors of ``n - 1``.
 
     Raises
     ------
     GenerationError
         If numerical round-off produces eigenvalues below a small negative
-        tolerance (should not happen for 0 < H < 1; guarded anyway).
+        tolerance (none for 0 < H < 1 in exact arithmetic; in floating
+        point, ``H = 0.99`` at ``n = 2**19`` and ``H >= 0.96`` at
+        ``n = 2**20``).
     """
     n = require_int_at_least("n", n, 1)
     require_in_range("hurst", hurst, 0.0, 1.0, inclusive=False)
@@ -116,9 +113,9 @@ def fgn_davies_harte(
         return gen.normal(0.0, sigma, size=1)
 
     scale = _circulant_scale(n, hurst, sigma)
-    m = 2 * n - 2
     # Complex spectral weights with the Hermitian symmetry rfft expects.
-    half = scale.size  # n
+    half = scale.size  # m / 2 + 1
+    m = 2 * (half - 1)
     real = gen.normal(size=half)
     imag = gen.normal(size=half)
     weights = (real + 1j * imag) * scale

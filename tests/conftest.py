@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import golden
 import numpy as np
 import pytest
 
@@ -29,6 +30,4 @@ def results():
     Run once per session: the figure tests and the golden digests
     (``tests/test_golden.py``) read the same panels.
     """
-    import golden
-
     return golden.run_panels()

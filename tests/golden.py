@@ -16,9 +16,9 @@ An intended output change is re-recorded from the root of a checkout::
 
     python tests/golden.py
 
-which reruns everything above (about a minute, most of it perfbench),
-rewrites the file and prints the keys that moved.  Every rebaseline
-needs an output-change line in CHANGES.md naming them.
+which reruns everything above (about 1.5 min on 2 cores, most of it
+perfbench), rewrites the file and prints the keys that moved.  Every
+rebaseline needs an output-change line in CHANGES.md naming them.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ class TestSampling:
         """Bursts engage the boost, a property of the trace distribution.
 
         One trace is one draw: the boost engages on 39 of 40 traces of
-        this recipe, so the claim is checked over eight of them.
+        this recipe (seeds 314-353), so the claim is checked over eight.
         Tolerance: the boost engages (``n_extra > 0``) on at least 6 of
         the 8, and the mean realized rate exceeds the base rate.  Blocks
         of 8 measured 7-8 engagements and mean rates 0.028-0.031; a

@@ -144,7 +144,7 @@ class TestCompareVariances:
 
         At this operating point E(V_sys) ~ E(V_strat), so a 48-instance
         Monte-Carlo draw on one trace resolves the ordering only by luck
-        (13 of 40 traces).  Instead every variance is exact per trace and
+        (8 of 40 traces).  Instead every variance is exact per trace and
         averaged over 32 traces: disjoint blocks of 32 measured
         V_sys / V_strat 0.95-1.04 and V_strat / V_ran 0.96-0.97.
         """

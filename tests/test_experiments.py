@@ -127,10 +127,10 @@ class TestTraceFigures:
     def test_fig06_eta_positive_at_low_rate(self, results):
         """At the lowest rate the median sampled mean under-estimates.
 
-        One seed's eta is one draw (> 0 on 60 of 64 seeds for fig06a and
-        49 of 64 for fig06b), so the claim is on the mean eta over eight
+        One seed's eta is one draw (> 0 on 61 of seeds 77-140 for fig06a
+        and 55 for fig06b), so the claim is on the mean eta over eight
         seeds, the fixture's and the seven after it.  Tolerance: > 0;
-        disjoint blocks of 8 measured 0.08-0.34.
+        disjoint blocks of 8 measured 0.12-0.34.
         """
         etas = {pid: [results[pid].series["eta"][0]]
                 for pid in ("fig06a", "fig06b")}

@@ -611,17 +611,20 @@ class TestOnOffParity:
 
 
 def _numpy_fft_fgn(n, hurst, seed, sigma=1.0):
-    """Davies-Harte as first written, on numpy.fft."""
+    """Davies-Harte on numpy.fft: the power-of-two circulant
+    m = 2**g >= 2(n - 1), first row [g0 .. g_{m/2}, g_{m/2-1} .. g1]."""
     gen = np.random.default_rng(seed)
-    gamma = fgn_autocovariance(hurst, n, sigma=sigma)
+    m = 2
+    while m < 2 * (n - 1):
+        m *= 2
+    gamma = fgn_autocovariance(hurst, m // 2 + 1, sigma=sigma)
     row = np.concatenate([gamma, gamma[-2:0:-1]])
     eigenvalues = np.fft.rfft(row).real
     if eigenvalues.min() < 0:
         eigenvalues = np.clip(eigenvalues, 0.0, None)
-    m = row.size
     scale = np.sqrt(eigenvalues / m)
-    real = gen.normal(size=n)
-    imag = gen.normal(size=n)
+    real = gen.normal(size=m // 2 + 1)
+    imag = gen.normal(size=m // 2 + 1)
     weights = (real + 1j * imag) * scale
     weights[0] = real[0] * scale[0] * np.sqrt(2.0)
     weights[-1] = real[-1] * scale[-1] * np.sqrt(2.0)
@@ -632,15 +635,15 @@ class TestFgnParity:
     """scipy.fft gives numpy.fft's bits.
 
     Since NumPy 2.0 both libraries run the same pocketfft code, so the
-    pin is exact; ``n = 2**17`` exercises Bluestein's algorithm (its
-    FFT length ``2 * (2**17 - 1)`` has a large prime factor), and the
-    second seed of each case runs on scipy.fft's cached plan.
+    pin is exact.  ``n = 4098`` embeds in m = 16384 > 2(n - 1), so its
+    row reaches lags beyond n - 1; the second seed of each case runs on
+    scipy.fft's cached plan.
     """
 
     @pytest.mark.parametrize(
         "n, hurst, sigma",
         [(2, 0.7, 1.0), (3, 0.3, 1.0), (4096, 0.8, 2.5), (1 << 17, 0.85, 1.0),
-         (1 << 17, 0.6, 0.4)],
+         (1 << 17, 0.6, 0.4), (4098, 0.75, 1.5)],
     )
     def test_matches_numpy_fft(self, n, hurst, sigma):
         for seed in (0, 1):
