@@ -15,7 +15,7 @@ import numpy as np
 from repro.core.base import Sampler, SamplingResult, series_values
 from repro.errors import ParameterError
 from repro.utils.rng import choice_without_replacement, normalize_rng
-from repro.utils.validation import require_probability
+from repro.utils.validation import require_int_at_least, require_probability
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,12 @@ class SimpleRandomSampler(Sampler):
             raise ParameterError("specify exactly one of rate or n_samples")
         if self.rate is not None:
             require_probability("rate", self.rate)
-        if self.n_samples is not None and self.n_samples < 1:
-            raise ParameterError(f"n_samples must be >= 1, got {self.n_samples}")
+        if self.n_samples is not None:
+            object.__setattr__(
+                self,
+                "n_samples",
+                require_int_at_least("n_samples", self.n_samples, 1),
+            )
 
     @classmethod
     def from_rate(cls, rate: float) -> "SimpleRandomSampler":

@@ -38,7 +38,7 @@ def require_int_at_least(name: str, value: int, minimum: int) -> int:
     if not isinstance(value, int):
         try:
             as_int = int(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParameterError(f"{name} must be an integer, got {value!r}") from None
         if as_int != value:
             raise ParameterError(f"{name} must be an integer, got {value!r}")

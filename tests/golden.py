@@ -7,8 +7,9 @@
 * the smoke campaign's ``results.jsonl`` SHA-256 and its manifest
   ``grid_hash``, run at one worker with the default seed (the rest of the
   manifest names the machine and library versions, so it is not hashed);
-* each perfbench workload's ``# digest`` at ``PERFBENCH_SEEDS``, which CI
-  compares with its own perfbench runs;
+* each perfbench workload's ``# digest`` at ``PERFBENCH_SEEDS``; each of
+  CI's three perfbench smoke steps runs its workload at both seeds and
+  compares both digests with these;
 * the NumPy and SciPy versions they were recorded with.
 
 ``tests/test_golden.py`` fails on any drift and names the moved keys.

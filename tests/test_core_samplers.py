@@ -200,6 +200,21 @@ class TestSimpleRandomSampler:
         with pytest.raises(ParameterError):
             SimpleRandomSampler(n_samples=101).sample(SERIES, rng)
 
+    def test_integral_float_count_is_the_int(self):
+        sampler = SimpleRandomSampler(n_samples=3.0)
+        assert sampler.n_samples == 3 and type(sampler.n_samples) is int
+        np.testing.assert_array_equal(
+            sampler.sample(SERIES, 5).indices,
+            SimpleRandomSampler(n_samples=3).sample(SERIES, 5).indices,
+        )
+
+    @pytest.mark.parametrize(
+        "bad", [2.5, True, "3", 0, -1, float("inf"), float("nan")]
+    )
+    def test_invalid_count_rejected_at_construction(self, bad):
+        with pytest.raises(ParameterError, match="n_samples"):
+            SimpleRandomSampler(n_samples=bad)
+
     def test_unbiased_over_instances(self, rng):
         sampler = SimpleRandomSampler(rate=0.1)
         means = [sampler.sample(SERIES, child).sampled_mean

@@ -427,6 +427,60 @@ class TestSncParity:
 
 
 # -------------------------------------------------------------- adaptive
+def _adaptive_series(kind: str, n: int, seed: int) -> np.ndarray:
+    """A finite series shaped to steer the adaptive detector."""
+    rng = np.random.default_rng(seed)
+    if kind == "constant":
+        return np.full(n, rng.choice([0.1, 0.3, 2.5, 1.5e308]))
+    if kind == "zero":
+        return np.zeros(n)
+    if kind == "negative":
+        # long_run < 0: only the ``long_run > 0`` guard keeps it quiet.
+        return -(rng.pareto(1.3, n) + 1.0)
+    if kind == "signed":
+        values = rng.integers(-3, 4, n).astype(np.float64)
+        values[values == 0] = rng.choice([0.0, -0.0], int((values == 0).sum()))
+        return values * rng.pareto(1.3, n)
+    return rng.pareto(1.3, n) + 1.0  # heavy-tailed
+
+
+@st.composite
+def _adaptive_cases(draw):
+    """(sampler, series, rng seed) over the sampler's valid parameters."""
+    sampler = AdaptiveRandomSampler(
+        base_rate=draw(
+            st.sampled_from([0.01, 0.05, 0.2, 0.5, 1.0])
+            | st.floats(0.0, 1.0, exclude_min=True)
+        ),
+        boost_factor=draw(st.sampled_from([1.0, 4.0]) | st.floats(1.0, 50.0)),
+        trigger=draw(st.floats(0.0, 4.0, exclude_min=True)),
+        ewma_alpha=draw(st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    kind = draw(
+        st.sampled_from(["pareto", "constant", "zero", "negative", "signed"])
+    )
+    series = _adaptive_series(
+        kind, draw(st.integers(1, 2000)), draw(st.integers(0, 2**32 - 1))
+    )
+    return sampler, series, draw(st.integers(0, 2**16))
+
+
+def _detector_flags(
+    sampler: AdaptiveRandomSampler, sampled: np.ndarray
+) -> list[bool]:
+    """The detector's ``elevated`` flag after each of ``sampled``."""
+    ewma = long_run = None
+    flags = []
+    for value in sampled.tolist():
+        if ewma is None:
+            ewma = long_run = value
+        else:
+            ewma = sampler.ewma_alpha * value + (1 - sampler.ewma_alpha) * ewma
+            long_run = 0.005 * value + 0.995 * long_run
+        flags.append(long_run > 0 and ewma > sampler.trigger * long_run)
+    return flags
+
+
 class TestAdaptiveParity:
     @pytest.mark.parametrize(
         "kwargs",
@@ -450,6 +504,77 @@ class TestAdaptiveParity:
         sampler = AdaptiveRandomSampler(base_rate=0.05)
         assert_same_sampling(
             sampler.sample(flat, 3), sampler._reference_sample(flat, 3)
+        )
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"base_rate": 0.05, "boost_factor": 1.0},  # both rates equal
+            {"base_rate": 1.0},  # every granule is sampled
+            {"base_rate": 0.05, "ewma_alpha": 1.0},  # the EWMA is the value
+        ],
+    )
+    def test_edge_parameters(self, pareto, kwargs):
+        """The trace ends in a burst, so the detector ends elevated (see
+        ``test_square_wave_flips_the_regime`` for why that matters)."""
+        series = pareto.values.copy()
+        series[-100:] *= 50.0
+        sampler = AdaptiveRandomSampler(**kwargs)
+        for seed in (0, 7):
+            result = sampler.sample(series, seed)
+            assert _detector_flags(sampler, result.values)[-1]
+            assert_same_sampling(
+                result, sampler._reference_sample(series, seed)
+            )
+
+    def test_square_wave_flips_the_regime(self):
+        """Quiet and loud blocks in turn: the detector engages and lets go
+        many times, and every flip must land on the reference's sample.
+
+        ``n_base`` counts the flag *before* each pick; a count taken after
+        the update differs from it only if the detector ends elevated, so
+        the wave ends on a loud block the detector is still reacting to.
+        """
+        series = np.tile(np.repeat([1.0, 10.0], [600, 200]), 12)
+        sampler = AdaptiveRandomSampler(base_rate=0.05, ewma_alpha=0.2)
+        result = sampler.sample(series, 5)
+        flags = _detector_flags(sampler, result.values)
+        assert sum(a != b for a, b in zip([False] + flags, flags)) >= 12
+        assert flags[-1]
+        assert_same_sampling(result, sampler._reference_sample(series, 5))
+
+    def test_single_point(self):
+        """n = 1 takes the loop for some seeds and the fallback draw for
+        the others."""
+        sampler = AdaptiveRandomSampler(base_rate=0.5)
+        series = np.array([3.0])
+        for seed in range(10):
+            assert_same_sampling(
+                sampler.sample(series, seed),
+                sampler._reference_sample(series, seed),
+            )
+
+    @pytest.mark.parametrize("base_rate", [0.02, 1e-9])
+    def test_generator_left_in_the_same_state(self, pareto, base_rate):
+        """On one generator, the draw after ``sample`` is the draw after
+        ``_reference_sample``: both consume the same stream, with and
+        without the fallback draw."""
+        sampler = AdaptiveRandomSampler(base_rate=base_rate)
+        gen = np.random.default_rng(11)
+        start = gen.bit_generator.state
+        sampler.sample(pareto, gen)
+        after_sample = gen.random()
+        gen.bit_generator.state = start
+        sampler._reference_sample(pareto, gen)
+        assert after_sample == gen.random()
+
+    @given(_adaptive_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, case):
+        sampler, series, seed = case
+        assert_same_sampling(
+            sampler.sample(series, seed),
+            sampler._reference_sample(series, seed),
         )
 
 

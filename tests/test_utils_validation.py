@@ -66,6 +66,12 @@ class TestRequireIntAtLeast:
         with pytest.raises(ParameterError):
             require_int_at_least("n", "five", 1)
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_rejects_non_finite(self, bad):
+        """``int(inf)`` raises ``OverflowError``, not ``ValueError``."""
+        with pytest.raises(ParameterError, match="integer"):
+            require_int_at_least("n", bad, 1)
+
 
 class TestRequireInRange:
     def test_inclusive_bounds(self):
