@@ -188,10 +188,12 @@ class BiasedSystematicSampler(Sampler):
     name = "bss"
 
     def __post_init__(self) -> None:
-        require_int_at_least("interval", self.interval, 1)
-        require_int_at_least("extra_samples", self.extra_samples, 0)
+        for field, minimum in (
+            ("interval", 1), ("extra_samples", 0), ("n_presamples", 0)
+        ):
+            value = require_int_at_least(field, getattr(self, field), minimum)
+            object.__setattr__(self, field, value)
         require_positive("epsilon", self.epsilon)
-        require_int_at_least("n_presamples", self.n_presamples, 0)
         if self.threshold is not None:
             require_positive("threshold", self.threshold)
         object.__setattr__(
@@ -461,7 +463,9 @@ class OnlineBSS:
             offset=offset,
         )
         self._offsets = set(
-            int(d) for d in _extra_offsets(interval, extra_samples)
+            _extra_offsets(
+                self._config.interval, self._config.extra_samples
+            ).tolist()
         )
         self._t = -1
         self._running_sum = 0.0

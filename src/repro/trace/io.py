@@ -28,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.errors import TraceFormatError
+from repro.errors import ParameterError, TraceFormatError
 from repro.trace.packet import PacketTrace
+from repro.utils.validation import require_int_at_least
 
 _CSV_HEADER = "# repro-trace v1: timestamp,src,dst,size,protocol"
 _BINARY_MAGIC = b"RPTRACE1"
@@ -45,34 +46,37 @@ _RECORD_DTYPE = np.dtype(
     ]
 )
 assert _RECORD_DTYPE.itemsize == _RECORD.size
-#: Rows formatted per batch when writing CSV — bounds peak memory while
-#: keeping the per-column vectorized formatting.
+#: Rows formatted and written per block when writing CSV: bounds the
+#: Python lists and the joined text a block holds at once.
 _CSV_CHUNK = 1 << 18
+#: One CSV row, formatted whole by Python's ``%`` operator.
+_CSV_ROW = "%.6f,%d,%d,%d,%d"
 
 
 # --------------------------------------------------------------------- CSV
 def write_csv(trace: PacketTrace, path) -> None:
     """Write a trace in the CSV format (overwrites ``path``).
 
-    Rows are rendered column-at-a-time (one vectorized format call per
-    column) in bounded chunks instead of a Python loop over packets,
-    then joined once per block — no intermediate ``np.char.add`` string
-    arrays, byte-identical output.
+    Each block of ``_CSV_CHUNK`` rows converts its five columns to Python
+    scalars with ``tolist()``, formats every row with one ``%`` call, and
+    joins the block into one write.  That is Python's own float and int
+    formatting, the bytes a per-packet loop writes; a vectorised
+    fixed-point formatter (``round(x * 1e6)``) would not round as
+    ``%.6f`` does and is not a substitute.
     """
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(_CSV_HEADER + "\n")
         for start in range(0, len(trace), _CSV_CHUNK):
             stop = start + _CSV_CHUNK
-            columns = (
-                np.char.mod("%.6f", trace.timestamps[start:stop]).tolist(),
-                np.char.mod("%d", trace.sources[start:stop]).tolist(),
-                np.char.mod("%d", trace.destinations[start:stop]).tolist(),
-                np.char.mod("%d", trace.sizes[start:stop]).tolist(),
-                np.char.mod("%d", trace.protocols[start:stop]).tolist(),
+            rows = zip(
+                trace.timestamps[start:stop].tolist(),
+                trace.sources[start:stop].tolist(),
+                trace.destinations[start:stop].tolist(),
+                trace.sizes[start:stop].tolist(),
+                trace.protocols[start:stop].tolist(),
             )
-            block = "\n".join(map(",".join, zip(*columns)))
-            fh.write(block)
+            fh.write("\n".join(map(_CSV_ROW.__mod__, rows)))
             fh.write("\n")
 
 
@@ -281,6 +285,14 @@ def read_csv(path) -> PacketTrace:
 
 
 # ------------------------------------------------------------------ binary
+def _check_binary_header(data: bytes, path) -> None:
+    """Raise unless ``data`` starts with the magic and the packet count."""
+    if not data.startswith(_BINARY_MAGIC):
+        raise TraceFormatError(f"{path}: bad magic, not a repro binary trace")
+    if len(data) < len(_BINARY_MAGIC) + 8:
+        raise TraceFormatError(f"{path}: truncated header")
+
+
 def write_binary(trace: PacketTrace, path) -> None:
     """Write a trace in the compact binary format (overwrites ``path``).
 
@@ -309,8 +321,7 @@ def read_binary(path) -> PacketTrace:
     """Read a binary trace written by :func:`write_binary`."""
     path = Path(path)
     data = path.read_bytes()
-    if not data.startswith(_BINARY_MAGIC):
-        raise TraceFormatError(f"{path}: bad magic, not a repro binary trace")
+    _check_binary_header(data, path)
     (count,) = struct.unpack_from("<Q", data, len(_BINARY_MAGIC))
     offset = len(_BINARY_MAGIC) + 8
     expected = offset + count * _RECORD.size
@@ -385,10 +396,7 @@ def _reference_iter_csv_chunks(path: Path, chunk_size: int):
 def _iter_binary_chunks(path: Path, chunk_size: int):
     with path.open("rb") as fh:
         header = fh.read(len(_BINARY_MAGIC) + 8)
-        if not header.startswith(_BINARY_MAGIC):
-            raise TraceFormatError(f"{path}: bad magic, not a repro binary trace")
-        if len(header) < len(_BINARY_MAGIC) + 8:
-            raise TraceFormatError(f"{path}: truncated header")
+        _check_binary_header(header, path)
         (count,) = struct.unpack_from("<Q", header, len(_BINARY_MAGIC))
         remaining = count
         while remaining > 0:
@@ -423,10 +431,16 @@ def iter_trace_chunks(path, *, chunk_size: int = DEFAULT_CHUNK_PACKETS):
     :func:`read_trace` — but only ever holding one chunk in memory, so
     traces far larger than RAM can feed streamed reductions.  The last
     chunk may be partial; an empty trace yields no chunks.
+
+    ``chunk_size`` follows ``require_int_at_least``: an integral float
+    is used as its int, and a bool, a non-integral value or one below 1
+    raises :class:`TraceFormatError`.
     """
     path = Path(path)
-    if chunk_size < 1:
-        raise TraceFormatError(f"chunk_size must be >= 1, got {chunk_size}")
+    try:
+        chunk_size = require_int_at_least("chunk_size", chunk_size, 1)
+    except ParameterError as exc:
+        raise TraceFormatError(str(exc)) from None
     if path.suffix == ".csv":
         return _iter_csv_chunks(path, chunk_size)
     if path.suffix == ".rpt":

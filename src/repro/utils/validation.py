@@ -19,7 +19,13 @@ def require_positive(name: str, value: float) -> float:
 
 
 def require_probability(name: str, value: float, *, allow_zero: bool = False) -> float:
-    """Return ``value`` if it lies in (0, 1] (or [0, 1] when allowed)."""
+    """Return ``value`` if it lies in (0, 1] (or [0, 1] when allowed).
+
+    Bools do not pass, though Python counts them as 0 and 1: ``True`` is
+    never meant as a rate.
+    """
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
     lo_ok = value >= 0 if allow_zero else value > 0
     if not math.isfinite(value) or not lo_ok or value > 1:
         bound = "[0, 1]" if allow_zero else "(0, 1]"

@@ -33,6 +33,11 @@ class TestConfiguration:
         with pytest.raises(ParameterError):
             AdaptiveRandomSampler(**kwargs)
 
+    def test_bool_base_rate_rejected(self):
+        """``base_rate=True`` used to keep every point, as rate 1."""
+        with pytest.raises(ParameterError, match="base_rate"):
+            AdaptiveRandomSampler(base_rate=True)
+
 
 class TestSampling:
     def test_rate_without_bursts_matches_base(self, rng):

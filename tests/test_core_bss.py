@@ -123,6 +123,26 @@ class TestBssStructure:
         assert BiasedSystematicSampler(10, 1, offset=3.0).offset == 3
         assert type(BiasedSystematicSampler(10, 1, offset=3.0).offset) is int
 
+    @pytest.mark.parametrize(
+        "integral_float",
+        [{"interval": 8.0}, {"extra_samples": 2.0}, {"n_presamples": 3.0}],
+        ids=["interval", "extra_samples", "n_presamples"],
+    )
+    def test_integral_float_counts_are_the_ints(self, trace, integral_float):
+        """The validated ints are stored: ``n_presamples=3.0`` used to fail
+        in ``sample`` on a float slice index, and the floats stayed on the
+        sampler."""
+        counts = {"interval": 8, "extra_samples": 2, "n_presamples": 3}
+        bss = BiasedSystematicSampler(**{**counts, **integral_float})
+        for field, value in counts.items():
+            assert getattr(bss, field) == value
+            assert type(getattr(bss, field)) is int
+        got = bss.sample(trace)
+        expected = BiasedSystematicSampler(**counts).sample(trace)
+        np.testing.assert_array_equal(got.indices, expected.indices)
+        np.testing.assert_array_equal(got.values, expected.values)
+        assert got.n_base == expected.n_base
+
 
 class TestBssDesign:
     def test_design_produces_valid_sampler(self, trace):
@@ -171,6 +191,16 @@ class TestOnlineBss:
         np.testing.assert_array_equal(result.indices, offline.indices)
         np.testing.assert_allclose(result.values, offline.values)
         assert result.n_base == offline.n_base
+
+    def test_online_integral_float_counts(self, trace):
+        online = OnlineBSS(8.0, 2.0, n_presamples=3.0)
+        online.process(trace.values)
+        result = online.result()
+        offline = BiasedSystematicSampler(
+            interval=8, extra_samples=2, n_presamples=3
+        ).sample(trace)
+        np.testing.assert_array_equal(result.indices, offline.indices)
+        np.testing.assert_array_equal(result.values, offline.values)
 
     def test_online_matches_offline_fixed_threshold(self, trace):
         threshold = 1.5 * trace.mean

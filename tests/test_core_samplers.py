@@ -215,6 +215,11 @@ class TestSimpleRandomSampler:
         with pytest.raises(ParameterError, match="n_samples"):
             SimpleRandomSampler(n_samples=bad)
 
+    def test_bool_rate_rejected(self):
+        """``rate=True`` used to keep every point, as rate 1."""
+        with pytest.raises(ParameterError, match="rate"):
+            SimpleRandomSampler(rate=True)
+
     def test_unbiased_over_instances(self, rng):
         sampler = SimpleRandomSampler(rate=0.1)
         means = [sampler.sample(SERIES, child).sampled_mean
@@ -235,3 +240,8 @@ class TestBernoulliSampler:
     def test_invalid_rate(self):
         with pytest.raises(ParameterError):
             BernoulliSampler(rate=1.5)
+
+    def test_bool_rate_rejected(self):
+        """``rate=True`` used to keep every point, as rate 1."""
+        with pytest.raises(ParameterError, match="rate"):
+            BernoulliSampler(rate=True)

@@ -14,7 +14,8 @@ samplers' batched ``offer_many`` is pinned to the base-class loop over
 ``offer``, which stays the default for samplers that do not override it.
 BSS's blocked replay is pinned over random series built to stress it, and
 the one NumPy behaviour it relies on — ``np.cumsum`` adding float64 left
-to right — is pinned on its own.
+to right — is pinned on its own.  The trace writers are pinned to
+per-packet format and ``struct.pack`` loops.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from repro.queueing.simulation import (
     queue_occupancy,
     tail_probabilities,
 )
+from repro.trace import io as trace_io
 from repro.trace.io import _RECORD, read_binary, write_binary, write_csv
 from repro.trace.packet import PacketTrace
 from repro.traffic.fgn import fgn_autocovariance, fgn_davies_harte
@@ -941,6 +943,41 @@ class TestTraceIoParity:
         path = tmp_path / "t.csv"
         write_csv(packet_trace, path)
         assert path.read_text(encoding="utf-8") == _loop_csv_lines(packet_trace)
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 15])
+    def test_csv_blocks_match_loop_format(self, packet_trace, tmp_path, n):
+        """Blocks of 7 rows: no block, a partial one, exactly one, one
+        plus a row, and two plus a row."""
+        trace = packet_trace.select(np.arange(len(packet_trace)) < n)
+        path = tmp_path / "t.csv"
+        with mock.patch.object(trace_io, "_CSV_CHUNK", 7):
+            write_csv(trace, path)
+        assert path.read_text(encoding="utf-8") == _loop_csv_lines(trace)
+
+    def test_csv_rounding_and_column_ranges(self, tmp_path):
+        """``%.6f`` rounds each double's exact value: 5e-07 lies just
+        below a half, 1.5e-06 and 2.5e-06 just above.  ``round(x * 1e6)``
+        rounds 2.5e-06 to even and 123456789.9999995 up, both wrong.  The
+        integer columns reach their dtypes' maxima."""
+        top = 2**32 - 1
+        trace = PacketTrace(
+            timestamps=[5e-07, 1.5e-06, 2.5e-06, 123456789.9999995, 1e15],
+            sources=[0, top, 1, top, top],
+            destinations=[top, 0, top, 2, top],
+            sizes=[top, 40, 0, top, top],
+            protocols=[255, 0, 6, 17, 255],
+        )
+        path = tmp_path / "t.csv"
+        write_csv(trace, path)
+        text = path.read_text(encoding="utf-8")
+        assert text == _loop_csv_lines(trace)
+        assert text.splitlines()[1:] == [
+            f"0.000000,0,{top},{top},255",
+            f"0.000002,{top},0,40,0",
+            f"0.000003,1,{top},0,6",
+            f"123456789.999999,{top},2,{top},17",
+            f"1000000000000000.000000,{top},{top},{top},255",
+        ]
 
     def test_binary_bytes_match_struct_loop(self, packet_trace, tmp_path):
         path = tmp_path / "t.rpt"

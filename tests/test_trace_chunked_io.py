@@ -11,6 +11,7 @@ from repro.errors import TraceFormatError
 from repro.trace.io import (
     _BINARY_MAGIC,
     iter_trace_chunks,
+    read_binary,
     read_trace,
     write_trace,
 )
@@ -84,11 +85,21 @@ class TestChunkedReads:
         write_trace(PacketTrace.empty(), path)
         assert list(iter_trace_chunks(path, chunk_size=16)) == []
 
-    def test_bad_chunk_size_rejected(self, tmp_path, suffix):
+    @pytest.mark.parametrize("chunk_size", [0, 2.5, True])
+    def test_bad_chunk_size_rejected(self, tmp_path, suffix, chunk_size):
+        """2.5 used to end in a bare TypeError and True to run 1-packet chunks."""
         path = tmp_path / f"t{suffix}"
         write_trace(make_trace(3), path)
         with pytest.raises(TraceFormatError, match="chunk_size"):
-            iter_trace_chunks(path, chunk_size=0)
+            iter_trace_chunks(path, chunk_size=chunk_size)
+
+    def test_integral_float_chunk_size_is_the_int(self, tmp_path, suffix):
+        trace = make_trace(100)
+        path = tmp_path / f"t{suffix}"
+        write_trace(trace, path)
+        chunks = list(iter_trace_chunks(path, chunk_size=30.0))
+        assert [len(c) for c in chunks] == [30, 30, 30, 10]
+        assert concat_chunks(chunks) == trace
 
 
 class TestChunkedErrors:
@@ -133,11 +144,17 @@ class TestChunkedErrors:
         with pytest.raises(TraceFormatError, match="trailing"):
             list(iter_trace_chunks(path, chunk_size=4))
 
-    def test_binary_truncated_header(self, tmp_path):
+    @pytest.mark.parametrize(
+        "read",
+        [read_binary, read_trace, lambda path: list(iter_trace_chunks(path))],
+        ids=["read_binary", "read_trace", "iter_trace_chunks"],
+    )
+    def test_binary_truncated_header(self, tmp_path, read):
+        """The whole-file readers used to raise a bare ``struct.error``."""
         path = tmp_path / "t.rpt"
         path.write_bytes(_BINARY_MAGIC + struct.pack("<I", 1))  # 4 of 8 bytes
         with pytest.raises(TraceFormatError, match="truncated header"):
-            list(iter_trace_chunks(path))
+            read(path)
 
 
 class TestBoundedMemoryContract:

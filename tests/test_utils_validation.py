@@ -46,6 +46,13 @@ class TestRequireProbability:
         with pytest.raises(ParameterError):
             require_probability("p", bad)
 
+    @pytest.mark.parametrize("allow_zero", [False, True])
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_rejects_bools(self, bad, allow_zero):
+        """``True`` used to pass as 1 and ``False`` as 0 where 0 is allowed."""
+        with pytest.raises(ParameterError, match="p must be a number"):
+            require_probability("p", bad, allow_zero=allow_zero)
+
 
 class TestRequireIntAtLeast:
     def test_accepts_int(self):
