@@ -21,6 +21,10 @@ Sampling Techniques for Self-Similar Internet Traffic" (ICDCS 2005):
   plus bounded-memory streaming folds.
 * :mod:`repro.experiments` — one runnable experiment per paper figure.
 
+The package-level names load on first use: ``import repro`` imports only
+the error classes, and each name's module (with SciPy, for the science
+modules that call it) is imported when the name is first looked up.
+
 Quickstart::
 
     import repro
@@ -33,23 +37,7 @@ Quickstart::
     print(result.sampled_mean, trace.mean)
 """
 
-from repro.core import (
-    BernoulliSampler,
-    BiasedSystematicSampler,
-    IntervalDistribution,
-    OnlineBSS,
-    Sampler,
-    SamplingResult,
-    SimpleRandomSampler,
-    StratifiedSampler,
-    SystematicSampler,
-    average_variance,
-    compare_variances,
-    efficiency,
-    eta,
-    overhead,
-    snc_check,
-)
+from repro import _lazy
 from repro.errors import (
     DesignError,
     EstimationError,
@@ -58,79 +46,11 @@ from repro.errors import (
     ReproError,
     TraceFormatError,
 )
-from repro.hurst import HurstEstimate, estimate_hurst
-from repro.parallel import set_default_workers
-from repro.trace import (
-    FlowTable,
-    PacketRecord,
-    PacketTrace,
-    RateProcess,
-    bin_bytes,
-    bin_od_flow,
-    bin_packets,
-    iter_trace_chunks,
-    read_trace,
-    write_trace,
-)
-from repro.traffic import (
-    BellLabsLikeTrace,
-    MGInfinityModel,
-    OnOffModel,
-    Pareto,
-    ParetoLRDModel,
-    bell_labs_like_process,
-    fgn_davies_harte,
-    onoff_trace,
-    synthetic_trace,
-)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "__version__",
-    # core
-    "Sampler",
-    "SamplingResult",
-    "SystematicSampler",
-    "StratifiedSampler",
-    "SimpleRandomSampler",
-    "BernoulliSampler",
-    "BiasedSystematicSampler",
-    "OnlineBSS",
-    "IntervalDistribution",
-    "snc_check",
-    "average_variance",
-    "compare_variances",
-    "eta",
-    "overhead",
-    "efficiency",
-    # traffic
-    "Pareto",
-    "ParetoLRDModel",
-    "OnOffModel",
-    "MGInfinityModel",
-    "BellLabsLikeTrace",
-    "bell_labs_like_process",
-    "fgn_davies_harte",
-    "synthetic_trace",
-    "onoff_trace",
-    # trace
-    "PacketRecord",
-    "PacketTrace",
-    "RateProcess",
-    "FlowTable",
-    "bin_bytes",
-    "bin_packets",
-    "bin_od_flow",
-    "read_trace",
-    "write_trace",
-    "iter_trace_chunks",
-    # hurst
-    "HurstEstimate",
-    "estimate_hurst",
-    # parallel
-    "set_default_workers",
-    # errors
     "ReproError",
     "ParameterError",
     "EstimationError",
@@ -138,3 +58,43 @@ __all__ = [
     "GenerationError",
     "DesignError",
 ]
+
+_lazy.export_lazily(globals(), {
+    "Sampler": "core",
+    "SamplingResult": "core",
+    "SystematicSampler": "core",
+    "StratifiedSampler": "core",
+    "SimpleRandomSampler": "core",
+    "BernoulliSampler": "core",
+    "BiasedSystematicSampler": "core",
+    "OnlineBSS": "core",
+    "IntervalDistribution": "core",
+    "snc_check": "core",
+    "average_variance": "core",
+    "compare_variances": "core",
+    "eta": "core",
+    "overhead": "core",
+    "efficiency": "core",
+    "Pareto": "traffic",
+    "ParetoLRDModel": "traffic",
+    "OnOffModel": "traffic",
+    "MGInfinityModel": "traffic",
+    "BellLabsLikeTrace": "traffic",
+    "bell_labs_like_process": "traffic",
+    "fgn_davies_harte": "traffic",
+    "synthetic_trace": "traffic",
+    "onoff_trace": "traffic",
+    "PacketRecord": "trace",
+    "PacketTrace": "trace",
+    "RateProcess": "trace",
+    "FlowTable": "trace",
+    "bin_bytes": "trace",
+    "bin_packets": "trace",
+    "bin_od_flow": "trace",
+    "read_trace": "trace",
+    "write_trace": "trace",
+    "iter_trace_chunks": "trace",
+    "HurstEstimate": "hurst",
+    "estimate_hurst": "hurst",
+    "set_default_workers": "parallel",
+})

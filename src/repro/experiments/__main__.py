@@ -54,6 +54,7 @@ import time
 from repro.experiments.runner import (
     available_experiments,
     execution_scope,
+    experiment_module,
     timed_experiment,
 )
 
@@ -177,6 +178,10 @@ def main(argv=None) -> int:
 
     names = available_experiments() if args.name == "all" else [args.name]
     require_probability("scale", args.scale)
+    # Import every figure (and the science it uses) before the pool forks,
+    # so the workers inherit the modules instead of each importing them.
+    for name in names:
+        experiment_module(name)
     telemetry = None if args.telemetry is None else args.telemetry == "on"
     # One dispatch of whole figures; each is printed once it and every
     # figure before it are done, so the output reads the same for any N.

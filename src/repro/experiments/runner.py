@@ -116,6 +116,15 @@ def available_experiments() -> list[str]:
     return sorted(_REGISTRY)
 
 
+def experiment_module(name: str):
+    """The module of figure ``name``, imported."""
+    if name not in _REGISTRY:
+        raise ParameterError(
+            f"unknown experiment {name!r}; available: {available_experiments()}"
+        )
+    return importlib.import_module(_REGISTRY[name])
+
+
 def run_experiment(
     name: str,
     *,
@@ -130,15 +139,11 @@ def run_experiment(
     (``run all --workers N``); the parameter stays only because
     ``perfbench/workloads.py`` passes it.
     """
-    if name not in _REGISTRY:
-        raise ParameterError(
-            f"unknown experiment {name!r}; available: {available_experiments()}"
-        )
+    module = experiment_module(name)
     from repro.parallel import resolve_workers
 
     resolve_workers(workers)
     require_probability("scale", scale)
-    module = importlib.import_module(_REGISTRY[name])
     kwargs = {"scale": scale}
     if seed is not None:
         kwargs["seed"] = seed

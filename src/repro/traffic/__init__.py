@@ -1,61 +1,34 @@
 """Traffic generation substrate: distributions, fGn, on/off, M/G/inf, traces."""
 
-from repro.traffic.arrivals import PacketSizeMix, packetize, zipf_weights
-from repro.traffic.belllabs import (
-    BELL_LABS_ALPHA,
-    BELL_LABS_HURST,
-    BELL_LABS_MEAN_RATE,
-    BellLabsLikeTrace,
-    bell_labs_like_process,
-)
-from repro.traffic.copula import ParetoLRDModel
-from repro.traffic.distributions import (
-    Exponential,
-    Pareto,
-    TruncatedPareto,
-    hurst_for_pareto_alpha,
-    pareto_alpha_for_hurst,
-)
-from repro.traffic.fgn import fbm, fgn_autocovariance, fgn_davies_harte, fgn_hosking
-from repro.traffic.mginf import MGInfinityModel
-from repro.traffic.onoff import OnOffModel, OnOffSource
-from repro.traffic.synthetic import (
-    SYNTHETIC_ALPHA,
-    SYNTHETIC_HURST,
-    SYNTHETIC_MEAN,
-    fgn_trace,
-    onoff_trace,
-    synthetic_packet_trace,
-    synthetic_trace,
-)
+from repro import _lazy
 
-__all__ = [
-    "Pareto",
-    "TruncatedPareto",
-    "Exponential",
-    "pareto_alpha_for_hurst",
-    "hurst_for_pareto_alpha",
-    "fgn_autocovariance",
-    "fgn_davies_harte",
-    "fgn_hosking",
-    "fbm",
-    "OnOffModel",
-    "OnOffSource",
-    "MGInfinityModel",
-    "ParetoLRDModel",
-    "PacketSizeMix",
-    "packetize",
-    "zipf_weights",
-    "synthetic_trace",
-    "onoff_trace",
-    "fgn_trace",
-    "synthetic_packet_trace",
-    "SYNTHETIC_MEAN",
-    "SYNTHETIC_ALPHA",
-    "SYNTHETIC_HURST",
-    "BellLabsLikeTrace",
-    "bell_labs_like_process",
-    "BELL_LABS_HURST",
-    "BELL_LABS_ALPHA",
-    "BELL_LABS_MEAN_RATE",
-]
+_lazy.export_lazily(globals(), {
+    "Pareto": "distributions",
+    "TruncatedPareto": "distributions",
+    "Exponential": "distributions",
+    "pareto_alpha_for_hurst": "distributions",
+    "hurst_for_pareto_alpha": "distributions",
+    "fgn_autocovariance": "fgn",
+    "fgn_davies_harte": "fgn",
+    "fgn_hosking": "fgn",
+    "fbm": "fgn",
+    "OnOffModel": "onoff",
+    "OnOffSource": "onoff",
+    "MGInfinityModel": "mginf",
+    "ParetoLRDModel": "copula",
+    "PacketSizeMix": "arrivals",
+    "packetize": "arrivals",
+    "zipf_weights": "arrivals",
+    "synthetic_trace": "synthetic",
+    "onoff_trace": "synthetic",
+    "fgn_trace": "synthetic",
+    "synthetic_packet_trace": "synthetic",
+    "SYNTHETIC_MEAN": "synthetic",
+    "SYNTHETIC_ALPHA": "synthetic",
+    "SYNTHETIC_HURST": "synthetic",
+    "BellLabsLikeTrace": "belllabs",
+    "bell_labs_like_process": "belllabs",
+    "BELL_LABS_HURST": "belllabs",
+    "BELL_LABS_ALPHA": "belllabs",
+    "BELL_LABS_MEAN_RATE": "belllabs",
+})

@@ -19,11 +19,12 @@ import numpy as np
 
 from repro.trace.packet import PacketTrace
 from repro.trace.process import RateProcess
-from repro.traffic.copula import ParetoLRDModel
-from repro.traffic.fgn import fgn_davies_harte
 from repro.traffic.onoff import OnOffModel
 from repro.utils.rng import normalize_rng
-from repro.utils.validation import require_int_at_least
+from repro.utils.validation import require_int_at_least, require_positive
+
+# ``synthetic_trace`` and ``fgn_trace`` import their SciPy-backed generators
+# when called, so the packet-level recipe loads no SciPy.
 
 #: Parameters quoted in the paper for the synthetic trace.
 SYNTHETIC_MEAN = 5.68  # kbytes/second (Fig. 18)
@@ -53,6 +54,8 @@ def synthetic_trace(
     marginal; the default truncates at the once-in-1e7 quantile to mimic a
     finite capture.
     """
+    from repro.traffic.copula import ParetoLRDModel
+
     n = require_int_at_least("n", n, 2)
     model = ParetoLRDModel.from_mean(
         mean=mean, alpha=alpha, hurst=hurst, upper_ccdf=upper_ccdf
@@ -92,6 +95,8 @@ def synthetic_packet_trace(
     at the 1500 B MTU.
     """
     n = require_int_at_least("n", n, 1)
+    alpha = require_positive("alpha", alpha)
+    n_hosts = require_int_at_least("n_hosts", n_hosts, 1)
     gen = normalize_rng(rng)
     timestamps = np.cumsum(gen.exponential(1e-3, n))
     sizes = np.minimum(40 + gen.pareto(alpha, n) * 100, 1500)
@@ -117,6 +122,8 @@ def fgn_trace(
     Used where an exactly-Gaussian LRD control is wanted (e.g. Hurst
     estimator calibration); not heavy-tailed.
     """
+    from repro.traffic.fgn import fgn_davies_harte
+
     n = require_int_at_least("n", n, 2)
     values = mean + fgn_davies_harte(n, hurst, normalize_rng(rng), sigma=sigma)
     return RateProcess(values=values, bin_width=bin_width, unit="units/bin")

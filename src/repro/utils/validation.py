@@ -11,23 +11,32 @@ import math
 from repro.errors import ParameterError
 
 
+def _is_finite(name: str, value) -> bool:
+    """Whether ``value`` is finite; raise if it is not a number.
+
+    Bools do not pass, though Python counts them as 0 and 1: ``True`` is
+    never meant as a rate, a scale or a bound.
+    """
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be a number, got {value!r}")
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be a number, got {value!r}") from None
+
+
 def require_positive(name: str, value: float) -> float:
     """Return ``value`` if it is a finite number > 0, else raise."""
-    if not math.isfinite(value) or value <= 0:
+    if not _is_finite(name, value) or value <= 0:
         raise ParameterError(f"{name} must be a finite positive number, got {value!r}")
     return float(value)
 
 
 def require_probability(name: str, value: float, *, allow_zero: bool = False) -> float:
-    """Return ``value`` if it lies in (0, 1] (or [0, 1] when allowed).
-
-    Bools do not pass, though Python counts them as 0 and 1: ``True`` is
-    never meant as a rate.
-    """
-    if isinstance(value, bool):
-        raise ParameterError(f"{name} must be a number, got {value!r}")
+    """Return ``value`` if it lies in (0, 1] (or [0, 1] when allowed)."""
+    finite = _is_finite(name, value)
     lo_ok = value >= 0 if allow_zero else value > 0
-    if not math.isfinite(value) or not lo_ok or value > 1:
+    if not finite or not lo_ok or value > 1:
         bound = "[0, 1]" if allow_zero else "(0, 1]"
         raise ParameterError(f"{name} must lie in {bound}, got {value!r}")
     return float(value)
@@ -63,13 +72,14 @@ def require_in_range(
     inclusive: bool = True,
 ) -> float:
     """Return ``value`` if it lies inside [low, high] (or (low, high))."""
+    finite = _is_finite(name, value)
     if inclusive:
         ok = low <= value <= high
         interval = f"[{low}, {high}]"
     else:
         ok = low < value < high
         interval = f"({low}, {high})"
-    if not math.isfinite(value) or not ok:
+    if not finite or not ok:
         raise ParameterError(f"{name} must lie in {interval}, got {value!r}")
     return float(value)
 

@@ -38,6 +38,11 @@ class TestConfiguration:
         with pytest.raises(ParameterError, match="base_rate"):
             AdaptiveRandomSampler(base_rate=True)
 
+    def test_bool_trigger_rejected(self):
+        """``trigger=True`` used to construct and keep the bool."""
+        with pytest.raises(ParameterError, match="trigger"):
+            AdaptiveRandomSampler(base_rate=0.1, trigger=True)
+
 
 class TestSampling:
     def test_rate_without_bursts_matches_base(self, rng):

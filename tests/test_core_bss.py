@@ -119,6 +119,11 @@ class TestBssStructure:
             with pytest.raises(ParameterError, match="offset"):
                 OnlineBSS(10, 1, offset=offset)
 
+    def test_bool_epsilon_rejected(self):
+        """``epsilon=True`` used to construct and sample as epsilon 1."""
+        with pytest.raises(ParameterError, match="epsilon"):
+            BiasedSystematicSampler(interval=8, extra_samples=2, epsilon=True)
+
     def test_integral_offset_stored_as_int(self):
         assert BiasedSystematicSampler(10, 1, offset=3.0).offset == 3
         assert type(BiasedSystematicSampler(10, 1, offset=3.0).offset) is int

@@ -5,13 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import ParameterError
 from repro.trace.process import RateProcess
 from repro.traffic.belllabs import (
     BELL_LABS_MEAN_RATE,
     BellLabsLikeTrace,
     bell_labs_like_process,
 )
-from repro.traffic.synthetic import fgn_trace, onoff_trace, synthetic_trace
+from repro.traffic.synthetic import (
+    fgn_trace,
+    onoff_trace,
+    synthetic_packet_trace,
+    synthetic_trace,
+)
 
 
 class TestSyntheticTrace:
@@ -33,6 +39,42 @@ class TestSyntheticTrace:
         a = synthetic_trace(2048, 5)
         b = synthetic_trace(2048, 5)
         np.testing.assert_array_equal(a.values, b.values)
+
+
+class TestSyntheticPacketTrace:
+    def test_matches_recipe(self):
+        """Valid arguments draw what the documented recipe draws."""
+        n, seed = 5000, 9
+        trace = synthetic_packet_trace(n, seed, alpha=1.2, n_hosts=256)
+        gen = np.random.default_rng(seed)
+        np.testing.assert_array_equal(
+            trace.timestamps, np.cumsum(gen.exponential(1e-3, n))
+        )
+        sizes = np.minimum(40 + gen.pareto(1.2, n) * 100, 1500)
+        np.testing.assert_array_equal(trace.sizes, sizes.astype(np.uint32))
+        for column in (trace.sources, trace.destinations):
+            np.testing.assert_array_equal(
+                column, gen.integers(0, 256, n, dtype=np.uint32)
+            )
+
+    def test_integral_arguments_keep_bits(self):
+        a = synthetic_packet_trace(1000, 3, alpha=2, n_hosts=16)
+        b = synthetic_packet_trace(1000, 3, alpha=2.0, n_hosts=16.0)
+        for column in ("timestamps", "sources", "destinations", "sizes"):
+            np.testing.assert_array_equal(getattr(a, column), getattr(b, column))
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), 0.0, -1.0, True])
+    def test_rejects_bad_alpha(self, alpha):
+        """NaN used to make every size 2147483648; alpha <= 0 raised a bare
+        NumPy ``ValueError``."""
+        with pytest.raises(ParameterError, match="alpha"):
+            synthetic_packet_trace(100, 1, alpha=alpha)
+
+    @pytest.mark.parametrize("n_hosts", [0, -3, 2.5, True])
+    def test_rejects_bad_n_hosts(self, n_hosts):
+        """``n_hosts=0`` raised a bare NumPy ``ValueError``; 2.5 ran."""
+        with pytest.raises(ParameterError, match="n_hosts"):
+            synthetic_packet_trace(100, 1, n_hosts=n_hosts)
 
 
 class TestOnOffTrace:

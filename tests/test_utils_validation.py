@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import ParameterError
@@ -25,6 +26,22 @@ class TestRequirePositive:
     def test_rejects(self, bad):
         with pytest.raises(ParameterError, match="x must be"):
             require_positive("x", bad)
+
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_rejects_bools(self, bad):
+        """``True`` used to pass as 1.0."""
+        with pytest.raises(ParameterError, match="x must be a number"):
+            require_positive("x", bad)
+
+    @pytest.mark.parametrize("bad", ["3", None, 1j])
+    def test_rejects_non_numbers(self, bad):
+        """These used to escape as a bare ``TypeError``."""
+        with pytest.raises(ParameterError, match="x must be a number"):
+            require_positive("x", bad)
+
+    def test_accepts_numpy_scalars(self):
+        assert require_positive("x", np.float32(0.5)) == 0.5
+        assert type(require_positive("x", np.int64(3))) is float
 
 
 class TestRequireProbability:
@@ -52,6 +69,11 @@ class TestRequireProbability:
         """``True`` used to pass as 1 and ``False`` as 0 where 0 is allowed."""
         with pytest.raises(ParameterError, match="p must be a number"):
             require_probability("p", bad, allow_zero=allow_zero)
+
+    @pytest.mark.parametrize("bad", ["0.5", None])
+    def test_rejects_non_numbers(self, bad):
+        with pytest.raises(ParameterError, match="p must be a number"):
+            require_probability("p", bad)
 
 
 class TestRequireIntAtLeast:
@@ -92,6 +114,25 @@ class TestRequireInRange:
     def test_rejects_nan(self):
         with pytest.raises(ParameterError):
             require_in_range("x", math.nan, 0.0, 1.0)
+
+    @pytest.mark.parametrize("inclusive", [True, False])
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_rejects_bools(self, bad, inclusive):
+        """``require_in_range("q", True, 0, 1)`` used to return 1.0."""
+        with pytest.raises(ParameterError, match="q must be a number"):
+            require_in_range("q", bad, -1.0, 2.0, inclusive=inclusive)
+
+    @pytest.mark.parametrize("bad", ["0.5", None])
+    def test_rejects_non_numbers(self, bad):
+        """These used to escape as a bare ``TypeError``."""
+        with pytest.raises(ParameterError, match="q must be a number"):
+            require_in_range("q", bad, 0.0, 1.0)
+
+    def test_domain_validators_reject_bools(self):
+        with pytest.raises(ParameterError, match="must be a number"):
+            require_hurst("h", True)
+        with pytest.raises(ParameterError, match="must be a number"):
+            require_alpha("alpha", True)
 
 
 class TestDomainValidators:
