@@ -34,9 +34,9 @@ paper ultimately recommends.
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.errors import DesignError
+from repro.utils.brent import brentq
 from repro.utils.validation import require_alpha, require_positive
 
 __all__ = [
@@ -160,9 +160,15 @@ def epsilon_roots(
     ``(alpha-1)/alpha`` (the paper calls it infeasible — it corresponds to
     a threshold at the very bottom of the distribution), eps2 on the
     decaying branch (grows with L, the setting used in Figs. 12/13).
+
+    eps2 is searched for in threshold ratios up to ``m_max``, which must
+    be finite and above the peak ``m* = 2 alpha/(2 alpha - 1)``; a
+    :class:`DesignError` says when no decaying-branch root lies at or
+    below it.
     """
     require_positive("L", L)
     require_alpha("alpha", alpha)
+    m_max = require_positive("m_max", m_max)
     if not 0.0 < eta < 1.0:
         raise DesignError(f"eta must lie in (0, 1), got {eta}")
 
@@ -174,6 +180,11 @@ def epsilon_roots(
         raise DesignError(
             f"eta={eta:.3f} exceeds the unbiased maximum "
             f"{max_unbiased_eta(L, alpha):.3f} for L={L}; increase L"
+        )
+    if m_max <= m_star or g(m_max) > 0:
+        raise DesignError(
+            f"no decaying-branch root in m <= m_max={m_max!r} "
+            f"(the branch starts at m*={m_star:.4f}); raise m_max"
         )
     m1 = brentq(g, 1.0 + 1e-12, m_star)
     m2 = brentq(g, m_star, m_max)

@@ -9,11 +9,11 @@ uses).
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.core.parameters import threshold_ratio, xi_bias
 from repro.experiments.config import MASTER_SEED, PARETO_ALPHA
 from repro.experiments.sweeps import CellSeries, SweepSpec, make_run
+from repro.utils.brent import brentq
 
 XI_LEVELS = (1.17, 1.4, 1.7, 2.0, 2.3)
 LS = tuple(range(1, 11))

@@ -11,7 +11,6 @@ the entire traces"), targets xi = 1/(1-eta), and fixes one knob:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 
 from repro.core.bss import BiasedSystematicSampler
 from repro.core.parameters import l_for_xi, threshold_ratio, xi_bias
@@ -28,6 +27,7 @@ from repro.experiments.config import (
 )
 from repro.experiments.runner import median_instance_means
 from repro.experiments.sweeps import SweepSpec, make_run
+from repro.utils.brent import brentq
 
 L_FIXED = 10
 EPS_FIXED = 1.0

@@ -13,11 +13,11 @@ Two semi/parametric spectral estimators:
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro.errors import EstimationError
 from repro.hurst.base import HurstEstimate
 from repro.hurst.periodogram import periodogram
+from repro.utils.brent import minimize_bounded
 from repro.utils.validation import require_int_at_least
 
 
@@ -51,20 +51,16 @@ def local_whittle_hurst(values, *, n_frequencies: int | None = None) -> HurstEst
         raise EstimationError("fewer than 4 positive periodogram ordinates")
     freqs, ords = freqs[positive], ords[positive]
 
-    result = minimize_scalar(
-        _local_whittle_objective,
-        bounds=(0.01, 0.99),
-        args=(freqs, ords),
-        method="bounded",
-        options={"xatol": 1e-6},
+    result = minimize_bounded(
+        _local_whittle_objective, (0.01, 0.99), (freqs, ords), xatol=1e-6
     )
     if not result.success:
         raise EstimationError(f"local Whittle optimisation failed: {result.message}")
     return HurstEstimate(
-        hurst=float(result.x),
+        hurst=result.x,
         method="local_whittle",
         fit=None,
-        details={"n_frequencies": int(freqs.size), "objective": float(result.fun)},
+        details={"n_frequencies": int(freqs.size), "objective": result.fun},
     )
 
 
@@ -109,17 +105,13 @@ def fgn_whittle_hurst(values, *, max_frequencies: int = 2048) -> HurstEstimate:
         idx = np.linspace(0, freqs.size - 1, max_frequencies).astype(np.int64)
         freqs, ords = freqs[idx], ords[idx]
 
-    result = minimize_scalar(
-        _fgn_whittle_objective,
-        bounds=(0.01, 0.99),
-        args=(freqs, ords),
-        method="bounded",
-        options={"xatol": 1e-5},
+    result = minimize_bounded(
+        _fgn_whittle_objective, (0.01, 0.99), (freqs, ords), xatol=1e-5
     )
     if not result.success:
         raise EstimationError(f"fGn Whittle optimisation failed: {result.message}")
     return HurstEstimate(
-        hurst=float(result.x),
+        hurst=result.x,
         method="fgn_whittle",
         fit=None,
         details={"n_frequencies": int(freqs.size)},

@@ -180,6 +180,11 @@ def _decode_csv_text(text: str, first_lineno: int, path):
     rounded / exact, so accepted blocks decode bit-identically to the
     reference loop.
     """
+    if text.isspace():
+        # Blank lines only: the reference skips them all, where loadtxt
+        # would warn that the input contained no data.  (isspace stops at
+        # the first data character; strip would copy the whole block.)
+        return _columns_from_rows([]), None
     if "#" not in text:
         try:
             records = np.loadtxt(

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.errors import ParameterError
 from repro.trace.packet import PacketTrace
 from repro.trace.process import RateProcess
 from repro.traffic.onoff import OnOffModel
@@ -97,6 +98,10 @@ def synthetic_packet_trace(
     n = require_int_at_least("n", n, 1)
     alpha = require_positive("alpha", alpha)
     n_hosts = require_int_at_least("n_hosts", n_hosts, 1)
+    if n_hosts > 1 << 32:
+        raise ParameterError(
+            f"n_hosts must be <= 2**32 (host ids are uint32), got {n_hosts}"
+        )
     gen = normalize_rng(rng)
     timestamps = np.cumsum(gen.exponential(1e-3, n))
     sizes = np.minimum(40 + gen.pareto(alpha, n) * 100, 1500)

@@ -19,7 +19,7 @@ from repro.core.parameters import (
     xi_bias,
     xi_surface,
 )
-from repro.errors import DesignError
+from repro.errors import DesignError, ParameterError
 
 ALPHA = 1.5  # the paper's synthetic-trace tail index
 
@@ -181,6 +181,30 @@ class TestEpsilonRoots:
         limit = max_unbiased_eta(5, ALPHA)
         with pytest.raises(DesignError, match="increase L"):
             epsilon_roots(5, ALPHA, limit * 1.01)
+
+    @pytest.mark.parametrize("m_max", [1.01, 1.2, 1.625, 5.0])
+    def test_m_max_without_a_decaying_root_below_it_rejected(self, m_max):
+        """At alpha = 1.3, m* = 1.625 and the decaying root is m = 10.85
+        (eps2 = 2.505).  m_max = 1.01 used to return the rising-branch
+        root as eps2; the others raised a bare ``ValueError``."""
+        with pytest.raises(DesignError, match="m_max"):
+            epsilon_roots(10, 1.3, 0.2, m_max=m_max)
+
+    @pytest.mark.parametrize("m_max", [float("inf"), float("nan"), -2.0, True])
+    def test_m_max_must_be_a_finite_positive_number(self, m_max):
+        with pytest.raises(ParameterError, match="m_max"):
+            epsilon_roots(10, 1.3, 0.2, m_max=m_max)
+
+    def test_m_max_above_the_root_finds_it(self):
+        eps1, eps2 = epsilon_roots(10, 1.3, 0.2)
+        assert eps2 == pytest.approx(2.505, abs=1e-3)
+        near = epsilon_roots(10, 1.3, 0.2, m_max=11.0)
+        assert near == pytest.approx((eps1, eps2), rel=1e-9)
+
+    def test_root_exactly_at_m_max_is_returned(self):
+        eta = 10 * 11.0 ** (-2.0 * 1.3) * (11.0 - 1.0)  # g(11.0) == 0.0
+        _, eps2 = epsilon_roots(10, 1.3, eta, m_max=11.0)
+        assert eps2 == epsilon_for_ratio(11.0, 1.3)
 
 
 class TestSurfaces:

@@ -8,6 +8,10 @@ has loaded cannot hide an import.
 * The SciPy-backed science modules load before a pool forks, so forked
   workers inherit them instead of each importing them again: a campaign
   cell and a ``run all`` figure import nothing the parent did not.
+* Of SciPy, the package loads ``scipy.fft`` and ``scipy.special``
+  alone: its root finder and minimiser are ports
+  (:mod:`repro.utils.brent`), so no module loads SciPy's optimisation,
+  linear-algebra or sparse packages.
 """
 
 from __future__ import annotations
@@ -45,6 +49,9 @@ SCIENCE = (
     "repro.analysis",
 )
 
+#: SciPy packages that no module of the package may load.
+SCIPY_UNUSED = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 
 
@@ -74,6 +81,38 @@ def test_trace_path_loads_no_scipy():
     assert set(TRACE_PATH) <= set(loaded)
     assert [m for m in loaded if _is_or_under(m, ("scipy",))] == []
     assert [m for m in loaded if _is_or_under(m, SCIENCE)] == []
+
+
+def test_package_loads_no_scipy_solvers():
+    """Every module of the package, then a call into each one that used
+    to reach SciPy's solvers, fGn, and ``hurst.wavelet``'s lazy
+    ``digamma``."""
+    names, loaded = _run(
+        "import importlib, json, pkgutil\n"
+        "import numpy as np\n"
+        "import repro\n"
+        "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
+        "for name in names:\n"
+        "    importlib.import_module(name)\n"
+        "from repro.core.parameters import epsilon_roots\n"
+        "from repro.experiments import fig14, fig16\n"
+        "from repro.hurst.wavelet import logscale_diagram\n"
+        "from repro.hurst.whittle import fgn_whittle_hurst, local_whittle_hurst\n"
+        "from repro.traffic.fgn import fgn_davies_harte\n"
+        "values = fgn_davies_harte(1024, 0.8, 1)\n"
+        "epsilon_roots(10, 1.5, 0.148)\n"
+        "fig14._eps_for_xi(5, 1.4)\n"
+        "fig16.eps_for_xi_at_l(1.2, 10, 1.5)\n"
+        "fgn_whittle_hurst(values)\n"
+        "local_whittle_hurst(values)\n"
+        "logscale_diagram(values)\n"
+        "print(json.dumps([names, sorted(sys.modules)]))\n",
+    )
+    assert {"repro.utils.brent", "repro.hurst.wavelet",
+            "repro.experiments.fig16", "repro.scenarios.campaign"} <= set(names)
+    assert set(names) <= set(loaded)
+    assert "scipy.special" in loaded
+    assert [m for m in loaded if _is_or_under(m, SCIPY_UNUSED)] == []
 
 
 @needs_fork

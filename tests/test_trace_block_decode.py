@@ -12,6 +12,8 @@ everything against the reference oracles.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,23 @@ class TestGrammarParity:
         monkeypatch.setattr(trace_io, "_CSV_BLOCK_CHARS", block_chars)
         trace = read_csv(path)
         assert trace.timestamps.tolist() == [1.0, 2.5, 3.0]
+        assert_bit_identical(trace, reference_read(path))
+
+    @pytest.mark.parametrize("block_chars", [1, 5, 1 << 20])
+    @pytest.mark.parametrize(
+        "body", ["\n  \n\t\n", "1.0,1,2,40,6\n\n \n"],
+        ids=["blanks", "row-then-blanks"],
+    )
+    def test_blank_only_blocks_decode_without_warnings(
+        self, tmp_path, monkeypatch, block_chars, body
+    ):
+        """A block of blank lines holds no rows; loadtxt warned on it."""
+        path = tmp_path / "t.csv"
+        path.write_text(f"{_CSV_HEADER}\n{body}")
+        monkeypatch.setattr(trace_io, "_CSV_BLOCK_CHARS", block_chars)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = read_csv(path)
         assert_bit_identical(trace, reference_read(path))
 
     def test_scientific_notation_and_int_floats(self, tmp_path):

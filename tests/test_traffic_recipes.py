@@ -76,6 +76,23 @@ class TestSyntheticPacketTrace:
         with pytest.raises(ParameterError, match="n_hosts"):
             synthetic_packet_trace(100, 1, n_hosts=n_hosts)
 
+    @pytest.mark.parametrize("n_hosts", [2**32 + 1, 2**33, 2.0**40])
+    def test_rejects_n_hosts_beyond_uint32_ids(self, n_hosts):
+        """Host ids are uint32: these raised a bare NumPy ``ValueError``."""
+        with pytest.raises(ParameterError, match="n_hosts"):
+            synthetic_packet_trace(100, 1, n_hosts=n_hosts)
+
+    def test_all_uint32_host_ids_still_allowed(self):
+        n, seed = 1000, 4
+        trace = synthetic_packet_trace(n, seed, n_hosts=2**32)
+        gen = np.random.default_rng(seed)
+        gen.exponential(1e-3, n)
+        gen.pareto(1.2, n)
+        for column in (trace.sources, trace.destinations):
+            np.testing.assert_array_equal(
+                column, gen.integers(0, 2**32, n, dtype=np.uint32)
+            )
+
 
 class TestOnOffTrace:
     def test_non_negative(self, rng):
