@@ -150,9 +150,12 @@ def max_unbiased_eta(L: float, alpha: float) -> float:
     return L * m_star ** (-2.0 * alpha) * (m_star - 1.0)
 
 
-def epsilon_roots(
-    L: float, alpha: float, eta: float, *, m_max: float = 1e6
-) -> tuple[float, float]:
+#: The largest threshold ratio ``m = a_th / l`` searched for eps2.  It lies
+#: far above the decaying branch's start ``m* = 2 alpha/(2 alpha - 1) < 2``.
+M_MAX = 1e6
+
+
+def epsilon_roots(L: float, alpha: float, eta: float) -> tuple[float, float]:
     """The two unbiased-threshold roots of Fig. 11.
 
     Solves ``xi(L, eps; eta) = 1``, i.e. ``L m^(-2 alpha)(m-1) = eta``.
@@ -161,14 +164,12 @@ def epsilon_roots(
     a threshold at the very bottom of the distribution), eps2 on the
     decaying branch (grows with L, the setting used in Figs. 12/13).
 
-    eps2 is searched for in threshold ratios up to ``m_max``, which must
-    be finite and above the peak ``m* = 2 alpha/(2 alpha - 1)``; a
-    :class:`DesignError` says when no decaying-branch root lies at or
-    below it.
+    eps2 is searched for in threshold ratios up to :data:`M_MAX`; a
+    :class:`DesignError` says when L is so large that no decaying-branch
+    root lies at or below it.
     """
     require_positive("L", L)
     require_alpha("alpha", alpha)
-    m_max = require_positive("m_max", m_max)
     if not 0.0 < eta < 1.0:
         raise DesignError(f"eta must lie in (0, 1), got {eta}")
 
@@ -181,13 +182,16 @@ def epsilon_roots(
             f"eta={eta:.3f} exceeds the unbiased maximum "
             f"{max_unbiased_eta(L, alpha):.3f} for L={L}; increase L"
         )
-    if m_max <= m_star or g(m_max) > 0:
+    if g(M_MAX) > 0:
         raise DesignError(
-            f"no decaying-branch root in m <= m_max={m_max!r} "
-            f"(the branch starts at m*={m_star:.4f}); raise m_max"
+            f"no decaying-branch root in m <= M_MAX={M_MAX:g}: L={L} is too "
+            f"large for eta={eta}; lower L"
         )
-    m1 = brentq(g, 1.0 + 1e-12, m_star)
-    m2 = brentq(g, m_star, m_max)
+    # g(1) = -eta < 0.  When L * 1e-12 > eta the rising-branch root lies
+    # below 1 + 1e-12, so bracket it from 1 instead.
+    low = 1.0 + 1e-12
+    m1 = brentq(g, low, m_star) if g(low) <= 0 else brentq(g, 1.0, low)
+    m2 = brentq(g, m_star, M_MAX)
     return epsilon_for_ratio(m1, alpha), epsilon_for_ratio(m2, alpha)
 
 

@@ -9,8 +9,9 @@ decays as ``H (2H - 1) k^{2H-2}``, i.e. hyperbolically with
 ``beta = 2 - 2H``, exactly the paper's Eq. (2).  Two independent generators
 are provided:
 
-* :func:`fgn_davies_harte` — exact circulant-embedding synthesis, O(n log n).
-  This is the workhorse for the million-point traces the experiments need.
+* :func:`fgn_davies_harte` — exact circulant-embedding synthesis on
+  ``numpy.fft``, O(n log n), in place in one work array per call.  This
+  is the workhorse for the million-point traces the experiments need.
 * :func:`fgn_hosking` — exact Durbin–Levinson recursion, O(n^2).  Slow, but
   algorithmically unrelated to the FFT method, so the two cross-validate
   each other in the test suite.
@@ -19,7 +20,6 @@ are provided:
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
 from repro.errors import GenerationError
 from repro.utils.rng import normalize_rng
@@ -28,6 +28,21 @@ from repro.utils.validation import (
     require_int_at_least,
     require_positive,
 )
+
+
+def _autocovariance_into(out: np.ndarray, hurst: float, sigma: float) -> np.ndarray:
+    """Write gamma(k) for ``k = 0 .. out.size - 1`` into ``out`` as
+    ``0.5 * sigma**2 * ((k+1)^2H - 2 k^2H + |k-1|^2H)``, in that order,
+    from one table of the powers ``j^2H``, ``j = 0 .. out.size``."""
+    n_lags = out.size
+    powers = np.arange(n_lags + 1, dtype=np.float64)
+    powers **= 2.0 * hurst
+    np.multiply(powers[:n_lags], 2.0, out=out)
+    np.subtract(powers[1:], out, out=out)
+    out[1:] += powers[: n_lags - 1]
+    out[0] += powers[1]  # |0 - 1|^2H
+    out *= 0.5 * sigma**2
+    return out
 
 
 def fgn_autocovariance(hurst: float, n_lags: int, *, sigma: float = 1.0) -> np.ndarray:
@@ -45,36 +60,7 @@ def fgn_autocovariance(hurst: float, n_lags: int, *, sigma: float = 1.0) -> np.n
     require_in_range("hurst", hurst, 0.0, 1.0, inclusive=False)
     n_lags = require_int_at_least("n_lags", n_lags, 1)
     require_positive("sigma", sigma)
-    k = np.arange(n_lags, dtype=np.float64)
-    two_h = 2.0 * hurst
-    gamma = 0.5 * sigma**2 * (
-        np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h
-    )
-    return gamma
-
-
-def _circulant_scale(n: int, hurst: float, sigma: float) -> np.ndarray:
-    """``sqrt(eigenvalues / m)`` of the power-of-two circulant embedding
-    of fGn's autocovariance: the smallest ``m = 2**g >= 2(n - 1)``, with
-    first row ``[gamma_0 .. gamma_{m/2}, gamma_{m/2-1} .. gamma_1]``.
-
-    A function of its own so that the autocovariance, the embedded row and
-    its complex spectrum are freed before the weights are drawn: at
-    ``n = 2**19`` they hold 24 MB.
-    """
-    m = 1 << (2 * n - 3).bit_length()  # smallest power of two >= 2(n - 1)
-    gamma = fgn_autocovariance(hurst, m // 2 + 1, sigma=sigma)
-    row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eigenvalues = scipy.fft.rfft(row).real
-    min_eig = eigenvalues.min()
-    if min_eig < 0:
-        if min_eig < -1e-8 * eigenvalues.max():
-            raise GenerationError(
-                f"circulant embedding not positive semi-definite "
-                f"(min eigenvalue {min_eig:.3e}); hurst={hurst}"
-            )
-        eigenvalues = np.clip(eigenvalues, 0.0, None)
-    return np.sqrt(eigenvalues / m)
+    return _autocovariance_into(np.empty(n_lags), hurst, sigma)
 
 
 def fgn_davies_harte(
@@ -94,8 +80,17 @@ def fgn_davies_harte(
     stationary Gaussian path of length ``m / 2 + 1`` follows exactly from
     complex Gaussian spectral weights, and its first ``n`` points are
     returned (Davies & Harte 1987; Wood & Chan 1994; Dietrich & Newsam
-    1997).  The power-of-two order keeps every FFT on ``scipy.fft``'s
-    fast radix path whatever the factors of ``n - 1``.
+    1997).  The power-of-two order keeps both FFTs on pocketfft's radix
+    passes whatever the factors of ``n - 1``.
+
+    A call allocates one float64 work array of ``5 (m/2 + 1)`` values
+    (about 20 MB at ``n = 2**19``) besides the ``n``-point result it
+    returns and the autocovariance's table of ``m/2 + 2`` powers, and
+    runs every other step in place in three slices of the work array:
+    ``m + 2`` values that hold the embedded row, then the two halves of
+    normals, then the path ``numpy.fft.irfft`` writes; ``m/2 + 1``
+    complex values that hold the spectrum ``numpy.fft.rfft`` writes,
+    then the weights; and the ``m/2 + 1`` spectral scales.
 
     Raises
     ------
@@ -112,18 +107,45 @@ def fgn_davies_harte(
     if n == 1:
         return gen.normal(0.0, sigma, size=1)
 
-    scale = _circulant_scale(n, hurst, sigma)
-    # Complex spectral weights with the Hermitian symmetry rfft expects.
-    half = scale.size  # m / 2 + 1
-    m = 2 * (half - 1)
-    real = gen.normal(size=half)
-    imag = gen.normal(size=half)
-    weights = (real + 1j * imag) * scale
+    m = 1 << (2 * n - 3).bit_length()  # smallest power of two >= 2(n - 1)
+    half = m // 2 + 1
+    work = np.empty(5 * half)
+    row = work[: 2 * half]
+    spectrum = work[2 * half : 4 * half].view(np.complex128)
+    scale = work[4 * half :]
+
+    _autocovariance_into(row[:half], hurst, sigma)
+    row[half:m] = row[half - 2 : 0 : -1]
+    np.fft.rfft(row[:m], out=spectrum)
+    eigenvalues = spectrum.real
+    min_eig = eigenvalues.min()
+    if min_eig < 0:
+        if min_eig < -1e-8 * eigenvalues.max():
+            raise GenerationError(
+                f"circulant embedding not positive semi-definite "
+                f"(min eigenvalue {min_eig:.3e}); hurst={hurst}"
+            )
+        np.clip(eigenvalues, 0.0, None, out=eigenvalues)
+    np.divide(eigenvalues, m, out=scale)
+    np.sqrt(scale, out=scale)
+
+    # Complex spectral weights with the Hermitian symmetry irfft expects.
+    # The draws are those of gen.normal(size=half) twice: normal() returns
+    # 0.0 + 1.0 * z, which is z with -0.0 turned into +0.0.
+    real, imag = row[:half], row[half:]
+    gen.standard_normal(out=real)
+    gen.standard_normal(out=imag)
+    row += 0.0
+    spectrum.real = real
+    spectrum.imag = imag
+    spectrum *= scale  # the complex product (real + 1j * imag) * scale
     # Endpoints (DC and Nyquist) must be purely real with doubled variance.
-    weights[0] = real[0] * scale[0] * np.sqrt(2.0)
-    weights[-1] = real[-1] * scale[-1] * np.sqrt(2.0)
-    sample = scipy.fft.irfft(weights, n=m) * m / np.sqrt(2.0)
-    return sample[:n]
+    spectrum[0] = real[0] * scale[0] * np.sqrt(2.0)
+    spectrum[-1] = real[-1] * scale[-1] * np.sqrt(2.0)
+    np.fft.irfft(spectrum, n=m, out=row[:m])
+    sample = np.multiply(row[:n], m)
+    sample /= np.sqrt(2.0)
+    return sample
 
 
 def fgn_hosking(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.parameters import (
+    M_MAX,
     epsilon_for_ratio,
     epsilon_roots,
     l_for_target_mean,
@@ -19,7 +20,7 @@ from repro.core.parameters import (
     xi_bias,
     xi_surface,
 )
-from repro.errors import DesignError, ParameterError
+from repro.errors import DesignError
 
 ALPHA = 1.5  # the paper's synthetic-trace tail index
 
@@ -182,29 +183,34 @@ class TestEpsilonRoots:
         with pytest.raises(DesignError, match="increase L"):
             epsilon_roots(5, ALPHA, limit * 1.01)
 
-    @pytest.mark.parametrize("m_max", [1.01, 1.2, 1.625, 5.0])
-    def test_m_max_without_a_decaying_root_below_it_rejected(self, m_max):
-        """At alpha = 1.3, m* = 1.625 and the decaying root is m = 10.85
-        (eps2 = 2.505).  m_max = 1.01 used to return the rising-branch
-        root as eps2; the others raised a bare ``ValueError``."""
-        with pytest.raises(DesignError, match="m_max"):
-            epsilon_roots(10, 1.3, 0.2, m_max=m_max)
-
-    @pytest.mark.parametrize("m_max", [float("inf"), float("nan"), -2.0, True])
-    def test_m_max_must_be_a_finite_positive_number(self, m_max):
-        with pytest.raises(ParameterError, match="m_max"):
-            epsilon_roots(10, 1.3, 0.2, m_max=m_max)
-
     def test_m_max_above_the_root_finds_it(self):
-        eps1, eps2 = epsilon_roots(10, 1.3, 0.2)
+        """At alpha = 1.3, m* = 1.625 and the decaying root is m = 10.85
+        (eps2 = 2.505), far below ``M_MAX``."""
+        _, eps2 = epsilon_roots(10, 1.3, 0.2)
         assert eps2 == pytest.approx(2.505, abs=1e-3)
-        near = epsilon_roots(10, 1.3, 0.2, m_max=11.0)
-        assert near == pytest.approx((eps1, eps2), rel=1e-9)
+
+    def test_decaying_root_beyond_m_max_rejected(self):
+        """L = 1e13 at alpha = 1.5 puts the decaying root near m = 4.5e6:
+        g(M_MAX) = 10 - 0.5 > 0."""
+        with pytest.raises(DesignError, match="M_MAX"):
+            epsilon_roots(1e13, 1.5, 0.5)
 
     def test_root_exactly_at_m_max_is_returned(self):
-        eta = 10 * 11.0 ** (-2.0 * 1.3) * (11.0 - 1.0)  # g(11.0) == 0.0
-        _, eps2 = epsilon_roots(10, 1.3, eta, m_max=11.0)
-        assert eps2 == epsilon_for_ratio(11.0, 1.3)
+        eta = 10 * M_MAX ** (-2.0 * 1.3) * (M_MAX - 1.0)  # g(M_MAX) == 0.0
+        _, eps2 = epsilon_roots(10, 1.3, eta)
+        assert eps2 == epsilon_for_ratio(M_MAX, 1.3)
+
+    def test_rising_root_below_one_plus_1e_12(self):
+        """L * 1e-12 > eta puts the rising-branch root in (1, 1 + 1e-12),
+        where g(1 + 1e-12) = 1e-6 - 1e-9 > 0 made the bracket
+        [1 + 1e-12, m*] escape as a bare ``ValueError``."""
+        eps1, eps2 = epsilon_roots(1e6, 1.9, 1e-9)
+        assert epsilon_for_ratio(1.0, 1.9) <= eps1
+        assert eps1 <= epsilon_for_ratio(1.0 + 1e-12, 1.9)
+        for eps in (eps1, eps2):
+            assert xi_bias(1e6, eps, 1.9, baseline_eta=1e-9) == pytest.approx(
+                1.0, abs=1e-9
+            )
 
 
 class TestSurfaces:

@@ -8,9 +8,9 @@ has loaded cannot hide an import.
 * The SciPy-backed science modules load before a pool forks, so forked
   workers inherit them instead of each importing them again: a campaign
   cell and a ``run all`` figure import nothing the parent did not.
-* Of SciPy, the package loads ``scipy.fft`` and ``scipy.special``
-  alone: its root finder and minimiser are ports
-  (:mod:`repro.utils.brent`), so no module loads SciPy's optimisation,
+* Of SciPy, the package loads ``scipy.special`` alone: its root finder
+  and minimiser are ports (:mod:`repro.utils.brent`) and fGn runs on
+  ``numpy.fft``, so no module loads SciPy's FFT, optimisation,
   linear-algebra or sparse packages.
 """
 
@@ -50,7 +50,7 @@ SCIENCE = (
 )
 
 #: SciPy packages that no module of the package may load.
-SCIPY_UNUSED = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+SCIPY_UNUSED = ("scipy.fft", "scipy.optimize", "scipy.linalg", "scipy.sparse")
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 

@@ -737,16 +737,31 @@ class TestOnOffParity:
             assert fast_rng.random() == loop_rng.random()
 
 
-def _numpy_fft_fgn(n, hurst, seed, sigma=1.0):
-    """Davies-Harte on numpy.fft: the power-of-two circulant
-    m = 2**g >= 2(n - 1), first row [g0 .. g_{m/2}, g_{m/2-1} .. g1]."""
-    gen = np.random.default_rng(seed)
+def _frozen_autocovariance(hurst, n_lags, sigma=1.0):
+    """fGn's autocovariance as three ``**`` passes, kept apart from the
+    shared power table ``fgn_autocovariance`` computes it from."""
+    k = np.arange(n_lags, dtype=np.float64)
+    two_h = 2.0 * hurst
+    return 0.5 * sigma**2 * (
+        np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h
+    )
+
+
+def _embedding_eigenvalues(n, hurst, sigma=1.0):
+    """Eigenvalues of the power-of-two circulant m = 2**g >= 2(n - 1),
+    first row [g0 .. g_{m/2}, g_{m/2-1} .. g1]."""
     m = 2
     while m < 2 * (n - 1):
         m *= 2
-    gamma = fgn_autocovariance(hurst, m // 2 + 1, sigma=sigma)
+    gamma = _frozen_autocovariance(hurst, m // 2 + 1, sigma=sigma)
     row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eigenvalues = np.fft.rfft(row).real
+    return np.fft.rfft(row).real
+
+
+def _numpy_fft_fgn(n, hurst, gen, sigma=1.0):
+    """Davies-Harte on numpy.fft, one temporary per step."""
+    eigenvalues = _embedding_eigenvalues(n, hurst, sigma=sigma)
+    m = 2 * (eigenvalues.size - 1)
     if eigenvalues.min() < 0:
         eigenvalues = np.clip(eigenvalues, 0.0, None)
     scale = np.sqrt(eigenvalues / m)
@@ -758,13 +773,24 @@ def _numpy_fft_fgn(n, hurst, seed, sigma=1.0):
     return (np.fft.irfft(weights, n=m) * m / np.sqrt(2.0))[:n]
 
 
-class TestFgnParity:
-    """scipy.fft gives numpy.fft's bits.
+def _assert_same_fgn(n, hurst, seed, sigma):
+    """Same bits, signed zeros included, and the same generator state."""
+    fast_rng = np.random.default_rng(seed)
+    oracle_rng = np.random.default_rng(seed)
+    fast = fgn_davies_harte(n, hurst, fast_rng, sigma=sigma)
+    oracle = _numpy_fft_fgn(n, hurst, oracle_rng, sigma=sigma)
+    assert fast.dtype == oracle.dtype and fast.shape == oracle.shape == (n,)
+    assert fast.tobytes() == oracle.tobytes()
+    assert fast_rng.random() == oracle_rng.random()
 
-    Since NumPy 2.0 both libraries run the same pocketfft code, so the
-    pin is exact.  ``n = 4098`` embeds in m = 16384 > 2(n - 1), so its
-    row reaches lags beyond n - 1; the second seed of each case runs on
-    scipy.fft's cached plan.
+
+class TestFgnParity:
+    """The in-place work-array Davies-Harte gives the bits of a plain
+    numpy.fft recomputation with a temporary per step.
+
+    ``n = 4098`` and ``2**17 + 1`` embed in m > 2(n - 1) and m = 2(n - 1),
+    so their rows reach lags beyond n - 1; ``H = 0.5`` takes ndarray
+    power's exact fast path for the exponent 1.
     """
 
     @pytest.mark.parametrize(
@@ -774,9 +800,32 @@ class TestFgnParity:
     )
     def test_matches_numpy_fft(self, n, hurst, sigma):
         for seed in (0, 1):
-            np.testing.assert_array_equal(
-                fgn_davies_harte(n, hurst, seed, sigma=sigma),
-                _numpy_fft_fgn(n, hurst, seed, sigma=sigma),
+            _assert_same_fgn(n, hurst, seed, sigma)
+
+    @pytest.mark.parametrize(
+        "n", [2, 3, 5, 4097, 4098, 1 << 16, (1 << 17) + 1, 1 << 19]
+    )
+    @pytest.mark.parametrize("hurst", [0.05, 0.5, 0.85, 0.95])
+    def test_grid(self, n, hurst):
+        for seed, sigma in enumerate((1.0, 2.5, 3)):
+            _assert_same_fgn(n, hurst, seed, sigma)
+
+    @pytest.mark.parametrize("n, hurst", [(1 << 18, 0.998), (1 << 19, 0.9825)])
+    def test_eigenvalue_clip_branch(self, n, hurst):
+        """Round-off leaves eigenvalues in [-1e-8 max, 0), which are
+        clipped to zero: 1479 of them at (2**18, 0.998), 3 at
+        (2**19, 0.9825)."""
+        eigenvalues = _embedding_eigenvalues(n, hurst)
+        assert -1e-8 * eigenvalues.max() <= eigenvalues.min() < 0
+        _assert_same_fgn(n, hurst, 5, 1.0)
+
+    @pytest.mark.parametrize("n_lags", [1, 2, 3, 4097])
+    @pytest.mark.parametrize("hurst", [0.05, 0.25, 0.5, 0.85, 0.95])
+    def test_autocovariance_matches_three_powers(self, n_lags, hurst):
+        for sigma in (1.0, 2.5, 3):
+            assert (
+                fgn_autocovariance(hurst, n_lags, sigma=sigma).tobytes()
+                == _frozen_autocovariance(hurst, n_lags, sigma=sigma).tobytes()
             )
 
 

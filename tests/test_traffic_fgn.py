@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,22 @@ class TestDaviesHarte:
         assert fgn_davies_harte(1 << 19, 0.95, 0).size == 1 << 19
         with pytest.raises(GenerationError, match="positive semi-definite"):
             fgn_davies_harte(1 << 19, 0.99, 0)
+
+    def test_one_work_array_and_the_result(self):
+        """A call's traced peak is its 2.5 m-value work array plus the
+        n-point result, which owns its data (m = 2**17 at n = 2**16)."""
+        n, m = 1 << 16, 1 << 17
+        fgn_davies_harte(n, 0.8, 1)  # warm-up
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            out = fgn_davies_harte(n, 0.8, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= 3 * 8 * m + 64 * 1024
+        assert out.shape == (n,) and out.dtype == np.float64
+        assert out.base is None
 
 
 class TestHosking:
