@@ -71,16 +71,6 @@ class RetryBudgetError(ExecutionError):
     """A shard kept failing after every attempt its retry budget allowed."""
 
 
-class InjectedFault(ReproError, RuntimeError):
-    """A :mod:`repro.faults` directive simulated a process-killing failure.
-
-    Deliberately *not* an :class:`ExecutionError`: an injected torn store
-    write emulates the process dying mid-append, so it must abort the
-    campaign exactly as a real kill would (and be repaired by resume),
-    never be absorbed as a quarantined cell.
-    """
-
-
 class StoreIntegrityError(ParameterError):
     """A campaign result store holds a corrupt record outside the torn tail.
 

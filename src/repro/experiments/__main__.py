@@ -10,7 +10,7 @@ Usage::
     python -m repro.experiments scenarios list
     python -m repro.experiments scenarios run [NAME ...] [--smoke] [--resume]
         [--workers N] [--max-attempts N] [--shard-deadline S]
-        [--faults PLAN] [--telemetry on] [--profile DIR]
+        [--telemetry on] [--profile DIR]
     python -m repro.experiments scenarios report --campaign NAME [--json]
     python -m repro.experiments telemetry {summary,spans,timeline} --campaign NAME
 
@@ -20,10 +20,11 @@ run --workers N`` runs N cells at a time, each in one dispatch over a
 per-command worker pool.  Output is printed (or appended to the store)
 in canonical order as each prefix completes, and is byte-identical for
 any N.  ``--workers`` wins over the ``REPRO_WORKERS`` environment
-variable, which sets the session default.  The ``runtime`` subcommand
-prints the parallel configuration this machine and environment would
-run with, each knob annotated with its provenance (default / env /
-context / cli).
+variable, which sets the session default.  ``run`` and ``scenarios
+run`` share one definition of ``--workers``, ``--telemetry`` and
+``--seed``.  The ``runtime`` subcommand prints the parallel
+configuration this machine and environment would run with, each knob
+annotated with its provenance (default / env / context / cli).
 
 ``--telemetry on`` (or ``REPRO_TELEMETRY=on``) records span traces,
 metrics, and structured events through :mod:`repro.obs`; campaigns also
@@ -40,8 +41,7 @@ hot-path table.
 ``--resume``, skipping every completed cell, and ``scenarios report``
 renders the stored accuracy comparison tables.  ``--max-attempts`` and
 ``--shard-deadline`` tune the executor's worker-loss/deadline
-supervision of each cell; ``--faults`` (or ``REPRO_FAULTS``) injects a
-deterministic fault plan for chaos testing — see :mod:`repro.faults`.
+supervision of each cell.
 """
 
 from __future__ import annotations
@@ -64,23 +64,29 @@ def main(argv=None) -> int:
         prog="python -m repro.experiments",
         description="Regenerate the paper's figures as text tables.",
     )
+    # The flags ``run`` and ``scenarios run`` share, defined once.
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument("--seed", type=int, default=None,
+                           help="override the master seed")
+    execution.add_argument("--workers", type=int, default=None,
+                           help="run N figures (or campaign cells) at a "
+                                "time in worker processes; output is "
+                                "identical for any N (overrides the "
+                                "REPRO_WORKERS env default)")
+    execution.add_argument("--telemetry", choices=("on", "off"),
+                           default=None,
+                           help="record span traces, metrics, and events; "
+                                "a campaign also writes a telemetry.jsonl "
+                                "sidecar next to its store (output stays "
+                                "byte-identical; default from "
+                                "REPRO_TELEMETRY, else off)")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list available experiments")
-    runner = sub.add_parser("run", help="run one experiment (or 'all')")
+    runner = sub.add_parser("run", parents=[execution],
+                            help="run one experiment (or 'all')")
     runner.add_argument("name", help="experiment name, e.g. fig18, or 'all'")
     runner.add_argument("--scale", type=float, default=1.0,
                         help="workload scale in (0, 1] (default 1.0)")
-    runner.add_argument("--seed", type=int, default=None,
-                        help="override the master seed")
-    runner.add_argument("--workers", type=int, default=None,
-                        help="run N figures at a time in worker processes "
-                             "(one figure always runs in one process; "
-                             "output is identical for any N; overrides "
-                             "the REPRO_WORKERS env default)")
-    runner.add_argument("--telemetry", choices=("on", "off"), default=None,
-                        help="record span traces, metrics, and events for "
-                             "this run (figures stay byte-identical; "
-                             "default comes from REPRO_TELEMETRY, else off)")
     sub.add_parser(
         "runtime",
         help="show the parallel runtime configuration for this "
@@ -93,7 +99,8 @@ def main(argv=None) -> int:
     scen_sub = scenarios.add_subparsers(dest="scenarios_command", required=True)
     scen_sub.add_parser("list", help="list registered scenarios")
     scen_run = scen_sub.add_parser(
-        "run", help="run a campaign (all scenarios unless names are given)"
+        "run", parents=[execution],
+        help="run a campaign (all scenarios unless names are given)",
     )
     scen_run.add_argument("names", nargs="*",
                           help="scenario names (default: every registered one)")
@@ -108,11 +115,6 @@ def main(argv=None) -> int:
                                "completed cells (byte-identical store)")
     scen_run.add_argument("--results-dir", default="results",
                           help="store root directory (default results/)")
-    scen_run.add_argument("--seed", type=int, default=None,
-                          help="override the campaign master seed")
-    scen_run.add_argument("--workers", type=int, default=None,
-                          help="run N cells at a time in worker processes "
-                               "(the store is identical for any N)")
     scen_run.add_argument("--max-attempts", type=int, default=None,
                           help="per-cell retry budget for worker-loss/"
                                "deadline recovery (default 3; 1 never "
@@ -122,15 +124,6 @@ def main(argv=None) -> int:
                           help="seconds a cell may run in its worker "
                                "before it is retried (default: no "
                                "deadline)")
-    scen_run.add_argument("--faults", default=None,
-                          help="deterministic fault-injection plan, e.g. "
-                               "'kill:shard=3,delay:shard=5:seconds=30' "
-                               "(overrides REPRO_FAULTS; chaos testing only)")
-    scen_run.add_argument("--telemetry", choices=("on", "off"), default=None,
-                          help="record span traces/metrics/events and write "
-                               "a telemetry.jsonl sidecar next to the store "
-                               "(store stays byte-identical; default from "
-                               "REPRO_TELEMETRY, else off)")
     scen_run.add_argument("--profile", default=None, metavar="DIR",
                           help="dump per-worker cProfile stats into DIR and "
                                "print the aggregated hot-path table after "
@@ -280,8 +273,6 @@ def _scenarios_main(args) -> int:
 
     import contextlib
 
-    from repro.faults import fault_plan
-
     campaign = args.campaign or ("smoke" if args.smoke else "full")
     kwargs = {}
     if args.seed is not None:
@@ -297,12 +288,6 @@ def _scenarios_main(args) -> int:
             ),
             shard_deadline=args.shard_deadline,
         )
-    # --faults scopes a plan (and shard numbering) to this one campaign;
-    # without it any REPRO_FAULTS session plan applies as-is.
-    faults_scope = (
-        fault_plan(args.faults) if args.faults is not None
-        else contextlib.nullcontext()
-    )
     telemetry = None if args.telemetry is None else args.telemetry == "on"
     if args.profile is not None:
         import repro.obs as obs
@@ -311,7 +296,7 @@ def _scenarios_main(args) -> int:
     else:
         profile_scope = contextlib.nullcontext()
     start = time.perf_counter()
-    with faults_scope, profile_scope, \
+    with profile_scope, \
             execution_scope(workers=args.workers, telemetry=telemetry):
         summary = run_campaign(
             args.names or None,

@@ -126,8 +126,8 @@ def telemetry(enabled: bool = True):
     """Force telemetry on (or off) for a scope, overriding the env.
 
     Yields the scope's fresh :class:`~repro.obs.record.Collector` when
-    enabling (None when disabling), so tests and the chaos harness can
-    assert on captured spans/events in memory::
+    enabling (None when disabling), so tests can assert on captured
+    spans/events in memory::
 
         with obs.telemetry() as col:
             run_campaign(...)

@@ -41,10 +41,8 @@ campaign layer turns into a quarantined cell instead of an aborted run.
 
 Dispatch under ``RetryPolicy(max_attempts=1)`` is supervised too; the
 budget only forbids retries, so a lost task raises at once instead of
-hanging the call.  Deterministic fault *injection* — the tooling that
-proves all of this on every CI run — lives in :mod:`repro.faults`; when
-a fault plan is active, dispatch routes through its picklable wrapper so
-directives fire inside the workers.
+hanging the call.  Every supervision event names its task by its index
+in the call's task list (the ``shard`` attribute).
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ from repro.errors import (
     ShardDeadlineError,
     WorkerLostError,
 )
-from repro.faults import active_plan, call_with_faults, next_shard_base
 from repro.utils.once import warn_once
 
 
@@ -391,13 +388,6 @@ def _shutdown_pool(pool) -> None:
     pool.join()
 
 
-def _call_shard(fn, task, plan, shard: int, attempt: int, *, in_worker: bool):
-    """Run one task in-process, honouring any active fault plan."""
-    if plan is not None and plan.has_shard_faults():
-        return call_with_faults(plan, shard, attempt, in_worker, fn, tuple(task))
-    return fn(*task)
-
-
 class _PoolUnavailable(Exception):
     """No pool could be (re)created; the caller finishes serially."""
 
@@ -415,14 +405,11 @@ class _Supervisor:
     failing on its own exhausts its budget.
     """
 
-    def __init__(self, fn, tasks, *, processes: int, policy: RetryPolicy,
-                 plan, base: int):
+    def __init__(self, fn, tasks, *, processes: int, policy: RetryPolicy):
         self.fn = fn
         self.tasks = tasks
         self.processes = processes
         self.policy = policy
-        self.plan = plan
-        self.base = base
         self.attempts = [0] * len(tasks)
         self.pool = None
         self.workers_before = frozenset()
@@ -449,24 +436,15 @@ class _Supervisor:
             self.pool = None
 
     def submit(self, i: int) -> tuple:
-        """Send task ``i`` to the pool; returns ``(token, started)``.
-
-        The fault plan rides in the pickled arguments — never via
-        inherited globals — so injected faults fire inside the worker.
-        """
+        """Send task ``i`` to the pool; returns ``(token, started)``."""
         self.attempts[i] += 1
-        shard, attempt = self.base + i, self.attempts[i]
+        attempt = self.attempts[i]
         if attempt > 1:
-            obs.event("executor.shard_retry", shard=shard, attempt=attempt)
+            obs.event("executor.shard_retry", shard=i, attempt=attempt)
             obs.count("executor.retries")
-        if self.plan is not None and self.plan.has_shard_faults():
-            fn, args = call_with_faults, (self.plan, shard, attempt, True,
-                                          self.fn, tuple(self.tasks[i]))
-        else:
-            fn, args = self.fn, tuple(self.tasks[i])
         token = (i, attempt)
         self.pool.apply_async(
-            fn, args,
+            self.fn, tuple(self.tasks[i]),
             callback=lambda value: self.done.put((token, True, value)),
             error_callback=lambda exc: self.done.put((token, False, exc)),
         )
@@ -520,20 +498,20 @@ class _Supervisor:
         return lost
 
     def _loss(self, i: int, overdue: set) -> Exception:
-        shard, attempt = self.base + i, self.attempts[i]
+        attempt = self.attempts[i]
         budget = f"attempt {attempt} of {self.policy.max_attempts}"
         if i in overdue:
-            obs.event("executor.shard_deadline", shard=shard, attempt=attempt)
+            obs.event("executor.shard_deadline", shard=i, attempt=attempt)
             obs.count("executor.deadline_misses")
             return ShardDeadlineError(
-                f"shard {shard} missed its {self.policy.shard_deadline:g}s "
+                f"shard {i} missed its {self.policy.shard_deadline:g}s "
                 f"deadline ({budget})"
             )
-        obs.event("executor.worker_lost", shard=shard, attempt=attempt)
+        obs.event("executor.worker_lost", shard=i, attempt=attempt)
         obs.count("executor.worker_losses")
         cause = ("lost when the pool was recycled" if overdue
                  else "lost to a dead pool worker")
-        return WorkerLostError(f"shard {shard} {cause} ({budget})")
+        return WorkerLostError(f"shard {i} {cause} ({budget})")
 
     def retry(self, i: int, error: Exception, *, collect_errors: bool):
         """Re-run lost task ``i`` alone until it succeeds or its budget ends.
@@ -552,11 +530,11 @@ class _Supervisor:
             if finished:
                 return finished[i]
             error = lost[i]
-        obs.event("executor.retry_budget_exhausted", shard=self.base + i,
+        obs.event("executor.retry_budget_exhausted", shard=i,
                   attempts=self.attempts[i])
         obs.count("executor.budget_exhaustions")
         exhausted = RetryBudgetError(
-            f"shard {self.base + i} still failing after "
+            f"shard {i} still failing after "
             f"{policy.max_attempts} attempt(s): {error}"
         )
         if not collect_errors:
@@ -564,8 +542,8 @@ class _Supervisor:
         return exhausted
 
 
-def _supervise(fn, tasks, *, processes: int, policy: RetryPolicy, plan,
-               base: int, collect_errors: bool):
+def _supervise(fn, tasks, *, processes: int, policy: RetryPolicy,
+               collect_errors: bool):
     """Supervised pool dispatch, yielding results in task order.
 
     Tasks go out in task order, at most ``processes`` at a time; each
@@ -574,8 +552,7 @@ def _supervise(fn, tasks, *, processes: int, policy: RetryPolicy, plan,
     serially in-process instead — the same degradation, and the same
     one-time warning, as a pool that fails to start.
     """
-    sup = _Supervisor(fn, tasks, processes=processes, policy=policy,
-                      plan=plan, base=base)
+    sup = _Supervisor(fn, tasks, processes=processes, policy=policy)
     results: dict = {}
     inflight: dict = {}
     next_out = submitted = 0
@@ -605,19 +582,16 @@ def _supervise(fn, tasks, *, processes: int, policy: RetryPolicy, plan,
                 inflight.clear()
                 for i in range(next_out, len(tasks)):
                     if i not in results:
-                        sup.attempts[i] += 1
-                        results[i] = _call_shard(fn, tasks[i], plan, base + i,
-                                                 sup.attempts[i],
-                                                 in_worker=False)
+                        results[i] = fn(*tasks[i])
     finally:
         sup.recycle()
 
 
-def _run_serial(fn, tasks, plan, base: int):
+def _run_serial(fn, tasks):
     """The in-process path: one ``shard`` span per task, results in order."""
     for i, task in enumerate(tasks):
-        with obs.span("shard", index=base + i):
-            result = _call_shard(fn, task, plan, base + i, 1, in_worker=False)
+        with obs.span("shard", index=i):
+            result = fn(*task)
         yield result
 
 
@@ -629,9 +603,9 @@ def run_shards(fn, tasks, *, workers: int | None = None,
     Returns an iterator that yields each task's result as soon as it and
     every task before it have finished, so a caller can commit a prefix
     while later tasks still run; ``list(run_shards(...))`` collects them
-    all.  Arguments are validated, and fault-plan shard indices claimed,
-    when ``run_shards`` is called; the tasks run as the iterator is
-    consumed.  Closing the iterator early tears the pool down.
+    all.  Arguments are validated when ``run_shards`` is called; the
+    tasks run as the iterator is consumed.  Closing the iterator early
+    tears the pool down.
 
     ``fn`` must be a module-level (picklable) function and each task a
     tuple of picklable arguments.  With ``workers > 1`` and more than one
@@ -647,20 +621,13 @@ def run_shards(fn, tasks, *, workers: int | None = None,
     task's :class:`~repro.errors.RetryBudgetError` *in its result slot*
     instead of raising, so one doomed task cannot abort its siblings; it
     only changes what happens on budget exhaustion, never a healthy
-    result.  When a :mod:`repro.faults` plan is active, this call claims
-    the next global shard indices and routes dispatch through the fault
-    wrapper so directives can fire.
+    result.
     """
     tasks = list(tasks)
     n_workers = resolve_workers(workers)
     pol = resolve_retry_policy(policy)
-    plan = active_plan()
-    # Claim shard indices even on the serial path: fault directives must
-    # address the same unit of work regardless of the worker count.
-    base = next_shard_base(len(tasks)) if plan is not None else 0
     obs.count("executor.shards", len(tasks))
     if n_workers <= 1 or len(tasks) <= 1:
-        return _run_serial(fn, tasks, plan, base)
+        return _run_serial(fn, tasks)
     return _supervise(fn, tasks, processes=min(n_workers, len(tasks)),
-                      policy=pol, plan=plan, base=base,
-                      collect_errors=collect_errors)
+                      policy=pol, collect_errors=collect_errors)

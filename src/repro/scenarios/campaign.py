@@ -505,7 +505,7 @@ def run_campaign(
                       "smoke": bool(smoke), "resume": bool(resume)}
 
     # One scoped collector per campaign: the sidecar below covers exactly
-    # this run, while an enclosing telemetry() scope (tests, chaos) still
+    # this run, while an enclosing telemetry() scope (tests) still
     # absorbs everything on exit.  None when telemetry is off.
     with obs.scoped_collector() as collector:
         with _sigterm_as_interrupt(), default_workers(workers), \

@@ -30,7 +30,6 @@ import time
 
 import repro.obs as obs
 from repro.errors import ExecutionError
-from repro.faults import fault_plan
 from repro.parallel.executor import default_workers, resolve_workers, run_shards
 from repro.scenarios.specs import Cell
 
@@ -40,10 +39,7 @@ def _cell_worker(cell: Cell, campaign: str, seed: int,
     """Evaluate one cell as a dispatch task (module-level, picklable).
 
     The cell is the unit of parallelism, so the evaluation runs with
-    ``workers=1`` and with the fault plan masked: cell-level directives
-    (kill, delay) fire in the executor's dispatch wrapper *before* this
-    function runs, and nothing inside the cell may consume the plan's
-    global shard indices.
+    ``workers=1``.
 
     Returns a tagged tuple rather than raising: ``("ok", record, obs)``
     or ``("quarantine", error_type, message, obs)``, so an in-cell
@@ -61,8 +57,8 @@ def _cell_worker(cell: Cell, campaign: str, seed: int,
         from repro.obs.profile import profiled, worker_profile_path
 
         profile_scope = profiled(worker_profile_path(profile_to))
-    with default_workers(1), fault_plan(None), \
-            obs.telemetry(telemetry) as collector, profile_scope:
+    with default_workers(1), obs.telemetry(telemetry) as collector, \
+            profile_scope:
         try:
             with obs.span("cell", key=cell.key):
                 record = campaign_module.evaluate_cell(

@@ -34,10 +34,6 @@ Integrity and quarantine (the fault-tolerance additions):
   the store — reordering raw record lines into cell run order and
   dropping the quarantine bookkeeping — so a faulty-then-resumed
   campaign converges byte-identically to an undisturbed one.
-
-The :mod:`repro.faults` store directives (``torn:append=N``,
-``corrupt:append=N``) hook :meth:`ResultStore.append` to manufacture
-exactly the failures this machinery recovers from.
 """
 
 from __future__ import annotations
@@ -52,8 +48,7 @@ from pathlib import Path
 import numpy as np
 
 import repro.obs as obs
-from repro.errors import InjectedFault, ParameterError, StoreIntegrityError
-from repro.faults import active_plan
+from repro.errors import ParameterError, StoreIntegrityError
 from repro.parallel.executor import machine_metadata
 
 SCHEMA = "repro-scenarios v1"
@@ -106,25 +101,6 @@ def checksummed_line(record) -> str:
                       allow_nan=False)
 
 
-def _flip_first_digit(line: str) -> str:
-    """Damage a serialised record for the ``corrupt`` fault directive.
-
-    Changing one digit keeps the line valid JSON of the same length —
-    the store stays parseable, so only the checksum can catch it, which
-    is exactly the failure mode the CRC exists for.  The search starts
-    past the ``"_crc32":"`` prefix: flipping the ``3`` in the key name
-    would *remove* the checksum instead of falsifying one.
-    """
-    prefix = f'"{CHECKSUM_KEY}":"'
-    start = line.find(prefix)
-    start = start + len(prefix) if start >= 0 else 0
-    for i in range(start, len(line)):
-        ch = line[i]
-        if ch.isdigit():
-            return line[:i] + str((int(ch) + 1) % 10) + line[i + 1:]
-    return line
-
-
 def record_checksum_ok(parsed: dict) -> bool:
     """Whether a parsed store record matches its embedded checksum.
 
@@ -167,7 +143,6 @@ class ResultStore:
         self.quarantine_path = self.directory / "quarantine.jsonl"
         self._completed: set[str] = set()
         self._quarantined: set[str] = set()
-        self._appends = 0  # this process's append count (fault addressing)
 
     # -------------------------------------------------------------- opening
     @classmethod
@@ -325,26 +300,9 @@ class ResultStore:
         """Durably append one completed cell (fsync: a kill loses at most
         the record being written, never an earlier one).
 
-        Each line embeds its own CRC-32; an active :mod:`repro.faults`
-        plan may target this append with ``torn`` (write a partial line,
-        then abort like a killed process) or ``corrupt`` (flip a digit
-        after serialisation, so the line parses but fails its CRC).
+        Each line embeds its own CRC-32.
         """
-        self._appends += 1
         line = checksummed_line(record) + "\n"
-        plan = active_plan()
-        fault = plan.store_fault(self._appends) if plan is not None else None
-        if fault is not None and fault.kind == "torn":
-            with open(self.results_path, "a", encoding="utf-8") as fh:
-                fh.write(line[: max(len(line) // 2, 1)])
-                fh.flush()
-                os.fsync(fh.fileno())
-            raise InjectedFault(
-                f"injected fault {fault.render()}: tore append "
-                f"#{self._appends} to {self.results_path}"
-            )
-        if fault is not None and fault.kind == "corrupt":
-            line = _flip_first_digit(line)
         with open(self.results_path, "a", encoding="utf-8") as fh:
             fh.write(line)
             fh.flush()

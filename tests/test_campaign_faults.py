@@ -8,7 +8,8 @@ to the undisturbed ``workers=1`` run.  Plus the named failure modes
 that must never be repaired silently: mid-file corruption raises
 :class:`StoreIntegrityError`, a missing manifest is a
 :class:`ParameterError`, and SIGTERM/SIGINT tear the worker pool down
-instead of orphaning it.
+instead of orphaning it.  Faults come from :mod:`faultkit`, which
+patches the cell worker and the store's append.
 """
 
 from __future__ import annotations
@@ -19,16 +20,23 @@ import os
 import signal
 
 import pytest
+from faultkit import (
+    KILL,
+    KILL_EVERY_ATTEMPT,
+    TornAppend,
+    corrupt_append,
+    fault_cells,
+    tear_append,
+)
 
-import repro.faults as faults
-from repro.errors import InjectedFault, ParameterError, StoreIntegrityError
-from repro.faults import fault_plan
+from repro.errors import ParameterError, StoreIntegrityError
 from repro.parallel import RetryPolicy
 from repro.scenarios import (
     ResultStore,
     SamplerSpec,
     Scenario,
     TrafficSpec,
+    expand_cells,
     register_scenario,
     run_campaign,
 )
@@ -40,15 +48,6 @@ SEED = 20260726
 #: Two attempts and near-zero backoff: budget exhaustion in well under a
 #: second, and the kill-recovery path still gets one retry.
 RETRY = RetryPolicy(max_attempts=2, backoff_base=0.01)
-
-
-@pytest.fixture(autouse=True)
-def _clean_fault_state(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.setattr(faults, "_SESSION_PLAN", None)
-    faults.reset_shard_counter()
-    yield
-    faults.reset_shard_counter()
 
 
 @pytest.fixture()
@@ -86,8 +85,7 @@ def _store_bytes(summary):
 @pytest.fixture()
 def reference(mini_registered, tmp_path):
     """Golden bytes: the undisturbed workers=1 run of the fixture grid."""
-    with fault_plan(None):
-        summary = _run(mini_registered, tmp_path / "ref")
+    summary = _run(mini_registered, tmp_path / "ref")
     return _store_bytes(summary)
 
 
@@ -112,9 +110,10 @@ class TestRecordChecksums:
 class TestQuarantine:
     def test_budget_exhaustion_quarantines_then_resume_converges(
             self, mini_registered, tmp_path, reference):
-        # Shard 0 belongs to cell 0; killing it on *every* attempt
-        # exhausts the budget, and the campaign must keep going.
-        with fault_plan("kill:shard=0:attempt=*"):
+        # Killing cell 0 on *every* attempt exhausts the budget, and the
+        # campaign must keep going.
+        cells = expand_cells([mini_registered])
+        with fault_cells(tmp_path, cells, {0: KILL_EVERY_ATTEMPT}):
             faulty = _run(mini_registered, tmp_path / "run",
                           workers=2, retry=RETRY)
         assert faulty.quarantined == 1
@@ -129,9 +128,8 @@ class TestQuarantine:
 
         # Fault-free resume re-attempts exactly the quarantined cell and
         # the compacted store converges to the golden bytes.
-        with fault_plan(None):
-            resumed = _run(mini_registered, tmp_path / "run",
-                           workers=2, resume=True, retry=RETRY)
+        resumed = _run(mini_registered, tmp_path / "run",
+                       workers=2, resume=True, retry=RETRY)
         assert resumed.executed == 1
         assert resumed.skipped == resumed.n_cells - 1
         assert not resumed.store.quarantine_path.exists()
@@ -141,7 +139,8 @@ class TestQuarantine:
     def test_absorbed_kill_never_reaches_quarantine(
             self, mini_registered, tmp_path, reference):
         # First-attempt-only kill: recovery absorbs it inside the cell.
-        with fault_plan("kill:shard=0"):
+        cells = expand_cells([mini_registered])
+        with fault_cells(tmp_path, cells, {0: KILL}):
             summary = _run(mini_registered, tmp_path / "run",
                            workers=2, retry=RETRY)
         assert summary.quarantined == 0
@@ -154,11 +153,10 @@ class TestQuarantine:
 class TestStoreIntegrity:
     def test_torn_append_aborts_then_resume_repairs(
             self, mini_registered, tmp_path, reference):
-        with fault_plan("torn:append=2"):
-            with pytest.raises(InjectedFault, match="tore append #2"):
+        with tear_append(2):
+            with pytest.raises(TornAppend, match="tore append #2"):
                 _run(mini_registered, tmp_path / "run")
-        with fault_plan(None):
-            resumed = _run(mini_registered, tmp_path / "run", resume=True)
+        resumed = _run(mini_registered, tmp_path / "run", resume=True)
         # Only the record before the torn append survived the repair.
         assert resumed.skipped == 1
         assert resumed.executed == resumed.n_cells - 1
@@ -168,7 +166,7 @@ class TestStoreIntegrity:
             self, mini_registered, tmp_path):
         # The corrupted line parses as JSON, so only its CRC betrays it;
         # it sits before the tail, so resume must refuse, not repair.
-        with fault_plan("corrupt:append=1"):
+        with corrupt_append(1):
             summary = _run(mini_registered, tmp_path / "run")
         assert summary.executed == summary.n_cells
         with pytest.raises(StoreIntegrityError,
@@ -256,5 +254,4 @@ class TestCleanShutdown:
 def test_module_state_clean():
     """Last in file: campaign faults must not leak session state."""
     assert not multiprocessing.active_children()
-    assert faults.active_plan() is None
     assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL

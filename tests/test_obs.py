@@ -323,10 +323,13 @@ class TestZeroOverheadOff:
 
 class TestSpansSurviveWorkerKills:
     def test_cells_campaign_with_kill(self, tmp_path, mini_scenario):
-        from repro.faults import fault_plan
-        from repro.parallel import RetryPolicy
+        from faultkit import KILL, fault_cells
 
-        with obs.telemetry() as col, fault_plan("kill:shard=1"):
+        from repro.parallel import RetryPolicy
+        from repro.scenarios import expand_cells
+
+        cells = expand_cells([mini_scenario.name])
+        with obs.telemetry() as col, fault_cells(tmp_path, cells, {1: KILL}):
             summary = run_campaign(
                 [mini_scenario.name], campaign="obs", seed=SEED,
                 results_dir=tmp_path, workers=2,

@@ -9,6 +9,9 @@ behind; a worker exception still propagates unchanged; and dispatch
 under ``max_attempts=1`` is supervised too, so a dead worker fails the
 call instead of hanging it.
 
+Faults come from :mod:`faultkit`: a wrapped task function kills its
+pool worker or hangs before the real task runs.
+
 Timing discipline: injected delays are the only sleeps, deadlines are
 an order of magnitude above poll granularity, and no assertion depends
 on wall-clock beyond "the 5 s hang did not happen".
@@ -24,15 +27,14 @@ import time
 from pathlib import Path
 
 import pytest
+from faultkit import KILL, KILL_EVERY_ATTEMPT, Fault, faulty
 
-import repro.faults as faults
 import repro.obs as obs
 import repro.parallel.executor as executor
 from repro.errors import (
     ParameterError,
     RetryBudgetError,
 )
-from repro.faults import fault_plan
 from repro.parallel import (
     RetryPolicy,
     get_retry_policy,
@@ -60,8 +62,8 @@ def _nap(x):
     return x
 
 
-def _run(tasks, **kwargs):
-    return list(run_shards(_square, tasks, **kwargs))
+def _run(tasks, fn=_square, **kwargs):
+    return list(run_shards(fn, tasks, **kwargs))
 
 
 #: Four shards at workers=2 with shard 1 SIGKILLing its worker once (a
@@ -106,15 +108,6 @@ if __name__ == "__main__":
     results = run_shards(nap, [(i,) for i in range(6)], workers=2)
     print(next(results))
 """
-
-
-@pytest.fixture(autouse=True)
-def _clean_fault_state(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.setattr(faults, "_SESSION_PLAN", None)
-    faults.reset_shard_counter()
-    yield
-    faults.reset_shard_counter()
 
 
 # ------------------------------------------------------------ RetryPolicy
@@ -169,19 +162,33 @@ class TestRetryPolicy:
 
 # ------------------------------------------------------ pool supervision
 class TestFreshPoolRecovery:
-    def test_kill_recovery_is_bit_identical(self):
-        with fault_plan("kill:shard=1"):
-            got = _run([(i,) for i in range(4)], workers=2, policy=FAST)
+    def test_kill_recovery_is_bit_identical(self, tmp_path):
+        with obs.telemetry() as col:
+            got = _run([(i,) for i in range(4)], workers=2, policy=FAST,
+                       fn=faulty(_square, tmp_path, {1: KILL}))
         assert got == [0, 1, 4, 9]
+        assert col.counters["executor.worker_losses"] >= 1
 
-    def test_deadline_retry_recovers_a_hung_shard(self):
+    def test_fault_plan_forces_supervision_onto_plain_policy(self, tmp_path):
+        """An injected kill costs one retry of the killed task, even under
+        the smallest budget that allows a retry."""
+        with obs.telemetry() as col:
+            got = _run([(i,) for i in range(4)], workers=2,
+                       policy=RetryPolicy(max_attempts=2),
+                       fn=faulty(_square, tmp_path, {1: KILL}))
+        assert got == [0, 1, 4, 9]
+        assert col.counters["executor.worker_losses"] >= 1
+
+    def test_deadline_retry_recovers_a_hung_shard(self, tmp_path):
         deadline = RetryPolicy(max_attempts=3, shard_deadline=0.5,
                                backoff_base=0.01)
         start = time.monotonic()
-        with fault_plan("delay:shard=0:seconds=5"):
-            got = _run([(i,) for i in range(3)], workers=2, policy=deadline)
+        with obs.telemetry() as col:
+            got = _run([(i,) for i in range(3)], workers=2, policy=deadline,
+                       fn=faulty(_square, tmp_path, {0: Fault(sleep=5)}))
         elapsed = time.monotonic() - start
         assert got == [0, 1, 4]
+        assert col.counters["executor.deadline_misses"] == 1
         # The 5 s injected hang must have been abandoned, not waited out.
         assert elapsed < 4.0
 
@@ -200,29 +207,21 @@ class TestFreshPoolRecovery:
                 assert counter not in col.counters, col.counters
             assert col.counters["executor.pool_forks"] == 1
 
-    def test_budget_exhaustion_raises_with_detail(self):
-        with fault_plan("kill:shard=1:attempt=*"):
-            with pytest.raises(RetryBudgetError, match="3 attempt"):
-                _run([(i,) for i in range(4)], workers=2, policy=FAST)
+    def test_budget_exhaustion_raises_with_detail(self, tmp_path):
+        with pytest.raises(RetryBudgetError, match="3 attempt"):
+            _run([(i,) for i in range(4)], workers=2, policy=FAST,
+                 fn=faulty(_square, tmp_path, {1: KILL_EVERY_ATTEMPT}))
 
     def test_worker_exception_still_propagates(self):
         with pytest.raises(ValueError, match="worker exploded on"):
             list(run_shards(_boom, [(i,) for i in range(4)],
                             workers=2, policy=FAST))
 
-    def test_serial_path_ignores_kill_but_applies_delay(self):
-        start = time.monotonic()
-        with fault_plan("kill:shard=0,delay:shard=1:seconds=0.05"):
-            got = _run([(i,) for i in range(3)], workers=1)
-        assert got == [0, 1, 4]
-        assert time.monotonic() - start >= 0.05
-
     def test_single_attempt_worker_death_raises(self, tmp_path):
         """A worker SIGKILLed under a one-attempt budget fails the call
         with RetryBudgetError in seconds; it must never hang.  Run in a
         subprocess so a regression times out instead of stalling the
-        suite.  The shard kills itself (no fault plan), so nothing but
-        the policy decides how dispatch runs."""
+        suite."""
         script = tmp_path / "single_attempt.py"
         script.write_text(SINGLE_ATTEMPT_SNIPPET)
         env = {"PYTHONPATH": "src", "PATH": os.environ.get("PATH", "")}
@@ -233,14 +232,6 @@ class TestFreshPoolRecovery:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == ["RetryBudgetError", "[0, 1, 4, 9]"]
-
-    def test_fault_plan_forces_supervision_onto_plain_policy(self):
-        """An injected kill costs one retry of the killed shard, even
-        under the smallest budget that allows a retry."""
-        with fault_plan("kill:shard=1"):
-            got = _run([(i,) for i in range(4)], workers=2,
-                       policy=RetryPolicy(max_attempts=2))
-        assert got == [0, 1, 4, 9]
 
     def test_exit_with_an_open_dispatch_does_not_hang(self, tmp_path):
         """The open dispatch is finalized during interpreter shutdown,
@@ -268,9 +259,10 @@ class TestRuntimeRecovery:
     """Recovery as a session sees it: each call forks its own pool and
     tears it down, so no failure can outlive the call it happened in."""
 
-    def test_kill_recycles_pool_and_session_survives(self):
-        with obs.telemetry() as col, fault_plan("kill:shard=1"):
-            got = _run([(i,) for i in range(4)], workers=2, policy=FAST)
+    def test_kill_recycles_pool_and_session_survives(self, tmp_path):
+        with obs.telemetry() as col:
+            got = _run([(i,) for i in range(4)], workers=2, policy=FAST,
+                       fn=faulty(_square, tmp_path, {1: KILL}))
         assert got == [0, 1, 4, 9]
         # Recovery tore down the broken pool and forked one new one.
         assert col.counters["executor.pool_forks"] == 2
@@ -280,10 +272,10 @@ class TestRuntimeRecovery:
             0, 1, 4, 9
         ]
 
-    def test_budget_exhaustion_does_not_poison_the_session(self):
-        with fault_plan("kill:shard=1:attempt=*"):
-            with pytest.raises(RetryBudgetError):
-                _run([(i,) for i in range(4)], workers=2, policy=FAST)
+    def test_budget_exhaustion_does_not_poison_the_session(self, tmp_path):
+        with pytest.raises(RetryBudgetError):
+            _run([(i,) for i in range(4)], workers=2, policy=FAST,
+                 fn=faulty(_square, tmp_path, {1: KILL_EVERY_ATTEMPT}))
         assert not multiprocessing.active_children()
         assert _run([(i,) for i in range(4)], workers=2, policy=FAST) == [
             0, 1, 4, 9
@@ -303,4 +295,3 @@ def test_module_state_clean():
     """Last in file: no test may leak session supervision state."""
     assert not multiprocessing.active_children()
     assert executor.get_retry_policy() == RetryPolicy()
-    assert faults.active_plan() is None

@@ -6,7 +6,7 @@ byte-identical to the serial ``workers=1`` run — for every built-in
 campaign, at any worker count, under ``max_cells`` truncation,
 out-of-order completion, and injected cell-worker kills routed through
 retry and quarantine — and must commit each record as soon as its
-canonical prefix is complete.
+canonical prefix is complete.  Faults come from :mod:`faultkit`.
 """
 
 from __future__ import annotations
@@ -15,10 +15,16 @@ import json
 import multiprocessing
 
 import pytest
+from faultkit import (
+    KILL,
+    KILL_EVERY_ATTEMPT,
+    Fault,
+    TornAppend,
+    fault_cells,
+    tear_append,
+)
 
-import repro.faults as faults
-from repro.errors import InjectedFault, ParameterError
-from repro.faults import fault_plan
+from repro.errors import ParameterError
 from repro.parallel import RetryPolicy, default_workers
 from repro.scenarios import (
     SamplerSpec,
@@ -39,15 +45,6 @@ BUILTINS = available_scenarios()
 #: Two attempts and near-zero backoff: budget exhaustion in well under a
 #: second, and the kill-recovery path still gets one retry.
 RETRY = RetryPolicy(max_attempts=2, backoff_base=0.01)
-
-
-@pytest.fixture(autouse=True)
-def _clean_session_state(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.setattr(faults, "_SESSION_PLAN", None)
-    faults.reset_shard_counter()
-    yield
-    faults.reset_shard_counter()
 
 
 @pytest.fixture()
@@ -84,12 +81,14 @@ def _store_bytes(summary):
 
 # ------------------------------------------------- out-of-order completion
 class TestCompletionOrder:
-    def test_scrambled_round_yields_in_canonical_order(self, mini_registered):
+    def test_scrambled_round_yields_in_canonical_order(self, mini_registered,
+                                                       tmp_path):
         """Cell 0 is held back until every other cell has finished; the
         outcomes still arrive in canonical order, equal to evaluating
         each cell directly."""
         cells = expand_cells([mini_registered])
-        with fault_plan("delay:shard=0:seconds=0.5"), default_workers(2):
+        with fault_cells(tmp_path, cells, {0: Fault(sleep=0.5)}), \
+                default_workers(2):
             got = list(iter_cell_results(cells, campaign="order-test",
                                          seed=SEED))
         assert [cell.key for cell, _ in got] == [c.key for c in cells]
@@ -144,10 +143,9 @@ class TestPrefixCommit:
         canonical records plus the torn line, no live worker, and a
         store that a resume brings back to the workers=1 bytes."""
         name = "fgn-hurst-sweep"
-        with fault_plan(None):
-            serial = _run([name], tmp_path / "w1", smoke=True, campaign=name)
-        with fault_plan("torn:append=3"):
-            with pytest.raises(InjectedFault, match="tore append #3"):
+        serial = _run([name], tmp_path / "w1", smoke=True, campaign=name)
+        with tear_append(3):
+            with pytest.raises(TornAppend, match="tore append #3"):
                 _run([name], tmp_path / "w2", smoke=True, workers=2,
                      campaign=name)
         assert not multiprocessing.active_children()
@@ -160,9 +158,8 @@ class TestPrefixCommit:
         assert lines[:2] == reference[:2]
         assert not lines[2].endswith(b"\n")
         assert reference[2].startswith(lines[2])
-        with fault_plan(None):
-            resumed = _run([name], tmp_path / "w2", smoke=True, workers=2,
-                           campaign=name, resume=True)
+        resumed = _run([name], tmp_path / "w2", smoke=True, workers=2,
+                       campaign=name, resume=True)
         assert (resumed.skipped, resumed.executed) == (2, serial.n_cells - 2)
         assert _store_bytes(resumed) == _store_bytes(serial)
 
@@ -171,12 +168,9 @@ class TestPrefixCommit:
 class TestCellFaults:
     def test_killed_cell_quarantines_and_resume_converges(
             self, mini_registered, tmp_path):
-        with fault_plan(None):
-            reference = _store_bytes(
-                _run([mini_registered], tmp_path / "ref")
-            )
-        # One dispatch in canonical order: shard k is cell k.
-        with fault_plan("kill:shard=0:attempt=*"):
+        reference = _store_bytes(_run([mini_registered], tmp_path / "ref"))
+        cells = expand_cells([mini_registered])
+        with fault_cells(tmp_path, cells, {0: KILL_EVERY_ATTEMPT}):
             faulty = _run([mini_registered], tmp_path / "run",
                           workers=2, retry=RETRY)
         assert faulty.quarantined == 1
@@ -184,20 +178,17 @@ class TestCellFaults:
         (sidecar,) = faulty.store.quarantined_records()
         assert sidecar["error"]["type"] == "RetryBudgetError"
 
-        with fault_plan(None):
-            resumed = _run([mini_registered], tmp_path / "run",
-                           workers=2, resume=True, retry=RETRY)
+        resumed = _run([mini_registered], tmp_path / "run",
+                       workers=2, resume=True, retry=RETRY)
         assert resumed.executed == 1
         assert resumed.skipped == resumed.n_cells - 1
         assert not resumed.store.quarantine_path.exists()
         assert _store_bytes(resumed) == reference
 
     def test_absorbed_kill_is_byte_identical(self, mini_registered, tmp_path):
-        with fault_plan(None):
-            reference = _store_bytes(
-                _run([mini_registered], tmp_path / "ref")
-            )
-        with fault_plan("kill:shard=0"):
+        reference = _store_bytes(_run([mini_registered], tmp_path / "ref"))
+        cells = expand_cells([mini_registered])
+        with fault_cells(tmp_path, cells, {0: KILL}):
             summary = _run([mini_registered], tmp_path / "run",
                            workers=2, retry=RETRY)
         assert summary.quarantined == 0
@@ -208,4 +199,3 @@ class TestCellFaults:
 def test_module_state_clean():
     """Last in file: dispatch tests must not leak session state."""
     assert not multiprocessing.active_children()
-    assert faults.active_plan() is None
