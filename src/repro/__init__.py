@@ -22,8 +22,8 @@ Sampling Techniques for Self-Similar Internet Traffic" (ICDCS 2005):
 * :mod:`repro.experiments` — one runnable experiment per paper figure.
 
 The package-level names load on first use: ``import repro`` imports only
-the error classes, and each name's module (with SciPy, for the science
-modules that call it) is imported when the name is first looked up.
+the error classes, and each name's module is imported when the name is
+first looked up.
 
 Quickstart::
 

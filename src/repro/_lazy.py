@@ -4,7 +4,7 @@ A package names each public name once, in a table mapping it to the
 submodule that defines it, and hands the table to :func:`export_lazily`.
 The submodule is imported the first time the name is looked up on the
 package, so importing the package costs only what its users touch: the
-packet-trace path never loads the SciPy-backed science modules.
+packet-trace path never loads the science modules.
 
 Nothing is bound in the package namespace: every lookup goes to the
 defining module, so patching that module shows through the package and

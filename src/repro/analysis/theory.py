@@ -13,9 +13,9 @@ Everything here is analytical (no sampling involved):
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from repro.errors import ParameterError
+from repro.utils.special import gammaln
 from repro.utils.validation import (
     require_in_range,
     require_int_at_least,
@@ -129,14 +129,17 @@ def stratified_sampled_acf(
     return np.trapezoid(values * density[None, :], t_prime, axis=1)
 
 
+#: The most terms the sum of :func:`simple_random_sampled_acf` takes at
+#: one lag.
+MAX_TERMS = 2_000_000
+
+
 def simple_random_sampled_acf(
     taus,
     beta: float,
     rho: float,
     *,
     const: float = 1.0,
-    tail_mass: float = 1e-12,
-    max_terms: int = 2_000_000,
 ) -> np.ndarray:
     """ACF of the simple-random sampled process — the paper's Eq. (11).
 
@@ -146,10 +149,11 @@ def simple_random_sampled_acf(
         R_g(tau) = sum_{a >= tau} R_f(a) * C(a-1, a-tau) rho^tau (1-rho)^(a-tau)
 
     The summand is evaluated in log space via ``gammaln`` (the paper used
-    Stirling's approximation to the same end) and the sum is truncated
-    once the remaining negative-binomial mass drops below ``tail_mass``.
-    That truncation is the source of the small negative bias the paper
-    reports in Fig. 2 (beta-hat = 0.08 for beta = 0.1).
+    Stirling's approximation to the same end).  The sum runs over the
+    failures ``i = a - tau`` up to their mean plus 12 standard deviations
+    plus 16, and at most :data:`MAX_TERMS` terms; the mass it leaves out is
+    negligible.  So over Fig. 2's lags the fitted exponent stays within
+    0.002 of beta: the paper's -0.08 for beta = 0.1 is not reproduced.
 
     Parameters
     ----------
@@ -167,25 +171,25 @@ def simple_random_sampled_acf(
 
     log_rho = np.log(rho)
     log_q = np.log1p(-rho)
-    out = np.empty(taus.shape, dtype=np.float64)
-    for idx, tau in enumerate(taus):
+    terms = []
+    for tau in taus:
         # Negative binomial: number of failures i = a - tau, mean tau(1-rho)/rho.
         mean_i = tau * (1.0 - rho) / rho
         std_i = np.sqrt(tau * (1.0 - rho)) / rho
-        n_terms = int(mean_i + 12.0 * std_i) + 16
-        n_terms = min(n_terms, max_terms)
+        terms.append(min(int(mean_i + 12.0 * std_i) + 16, MAX_TERMS))
+    # The sums need log Gamma only at integers k, so one table serves every
+    # lag: lgam[k - 1] = log Gamma(k).
+    top = max((int(tau) + n for tau, n in zip(taus, terms)), default=1)
+    lgam = gammaln(np.arange(1.0, top))
+    out = np.empty(taus.shape, dtype=np.float64)
+    for idx, (tau, n_terms) in enumerate(zip(taus, terms)):
         i = np.arange(n_terms, dtype=np.float64)
         a = tau + i
         log_pmf = (
-            gammaln(a) - gammaln(i + 1.0) - gammaln(float(tau))
+            lgam[tau - 1:tau - 1 + n_terms] - lgam[:n_terms] - lgam[tau - 1]
             + tau * log_rho + i * log_q
         )
         pmf = np.exp(log_pmf)
-        total_mass = pmf.sum()
-        if total_mass < 1.0 - max(tail_mass, 1e-9) and n_terms >= max_terms:
-            # Accept the truncation but keep going: this reproduces the
-            # paper's finite-sum approximation regime.
-            pass
         out[idx] = const * np.dot(a**-beta, pmf)
     return out
 

@@ -27,6 +27,7 @@ from repro.analysis.fitting import LinearFit, fit_line
 from repro.errors import EstimationError, ParameterError
 from repro.hurst.base import HurstEstimate
 from repro.utils.arrays import as_float_array
+from repro.utils.special import digamma
 from repro.utils.validation import require_int_at_least
 
 #: Daubechies scaling (low-pass) filters.  Values are the standard
@@ -205,8 +206,6 @@ def logscale_diagram(
         octave (default).  This restores the vanishing-moment immunity to
         non-periodic trends that a circular transform otherwise loses.
     """
-    from scipy.special import digamma
-
     details, _ = dwt(values, wavelet)
     h, _g = wavelet_filters(wavelet)
     trims = (

@@ -64,6 +64,11 @@ from repro.errors import (
     WorkerLostError,
 )
 from repro.utils.once import warn_once
+from repro.utils.validation import (
+    require_int_at_least,
+    require_non_negative,
+    require_positive,
+)
 
 
 def _validate_workers(workers) -> int:
@@ -239,24 +244,15 @@ class RetryPolicy:
     backoff_cap: float = 1.0
 
     def __post_init__(self):
-        if isinstance(self.max_attempts, bool) or not isinstance(self.max_attempts, int):
-            raise ParameterError(
-                f"max_attempts must be an int >= 1, got {self.max_attempts!r}"
-            )
-        if self.max_attempts < 1:
-            raise ParameterError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.shard_deadline is not None and not self.shard_deadline > 0:
-            raise ParameterError(
-                f"shard_deadline must be positive (or None), got "
-                f"{self.shard_deadline!r}"
-            )
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise ParameterError(
-                "backoff_base and backoff_cap must be >= 0, got "
-                f"{self.backoff_base!r} and {self.backoff_cap!r}"
-            )
+        checked = {"max_attempts": require_int_at_least(
+            "max_attempts", self.max_attempts, 1)}
+        if self.shard_deadline is not None:
+            checked["shard_deadline"] = require_positive(
+                "shard_deadline", self.shard_deadline)
+        for field in ("backoff_base", "backoff_cap"):
+            checked[field] = require_non_negative(field, getattr(self, field))
+        for field, value in checked.items():
+            object.__setattr__(self, field, value)
 
 
 #: Session-wide retry policy used when a call site passes ``policy=None``.

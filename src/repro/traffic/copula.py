@@ -25,11 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.traffic.distributions import Pareto, TruncatedPareto
 from repro.traffic.fgn import fgn_davies_harte
 from repro.utils.rng import normalize_rng
+from repro.utils.special import ndtr
 from repro.utils.validation import require_hurst, require_int_at_least
 
 

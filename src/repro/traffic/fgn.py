@@ -20,6 +20,9 @@ are provided:
 from __future__ import annotations
 
 import numpy as np
+# Not np.fft on first call: NumPy loads numpy.fft lazily, and a worker pool
+# forked after this module loads should inherit it.
+from numpy.fft import irfft, rfft
 
 from repro.errors import GenerationError
 from repro.utils.rng import normalize_rng
@@ -116,7 +119,7 @@ def fgn_davies_harte(
 
     _autocovariance_into(row[:half], hurst, sigma)
     row[half:m] = row[half - 2 : 0 : -1]
-    np.fft.rfft(row[:m], out=spectrum)
+    rfft(row[:m], out=spectrum)
     eigenvalues = spectrum.real
     min_eig = eigenvalues.min()
     if min_eig < 0:
@@ -142,7 +145,7 @@ def fgn_davies_harte(
     # Endpoints (DC and Nyquist) must be purely real with doubled variance.
     spectrum[0] = real[0] * scale[0] * np.sqrt(2.0)
     spectrum[-1] = real[-1] * scale[-1] * np.sqrt(2.0)
-    np.fft.irfft(spectrum, n=m, out=row[:m])
+    irfft(spectrum, n=m, out=row[:m])
     sample = np.multiply(row[:n], m)
     sample /= np.sqrt(2.0)
     return sample

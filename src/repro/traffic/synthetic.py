@@ -24,8 +24,8 @@ from repro.traffic.onoff import OnOffModel
 from repro.utils.rng import normalize_rng
 from repro.utils.validation import require_int_at_least, require_positive
 
-# ``synthetic_trace`` and ``fgn_trace`` import their SciPy-backed generators
-# when called, so the packet-level recipe loads no SciPy.
+# ``synthetic_trace`` and ``fgn_trace`` import their generators (fGn and the
+# copula) when called, so the packet-level recipe loads neither.
 
 #: Parameters quoted in the paper for the synthetic trace.
 SYNTHETIC_MEAN = 5.68  # kbytes/second (Fig. 18)

@@ -32,6 +32,13 @@ def require_positive(name: str, value: float) -> float:
     return float(value)
 
 
+def require_non_negative(name: str, value: float) -> float:
+    """Return ``value`` if it is a finite number >= 0, else raise."""
+    if not _is_finite(name, value) or value < 0:
+        raise ParameterError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 def require_probability(name: str, value: float, *, allow_zero: bool = False) -> float:
     """Return ``value`` if it lies in (0, 1] (or [0, 1] when allowed)."""
     finite = _is_finite(name, value)

@@ -10,7 +10,8 @@
 * each perfbench workload's ``# digest`` at ``PERFBENCH_SEEDS``; each of
   CI's three perfbench smoke steps runs its workload at both seeds and
   compares both digests with these;
-* the NumPy and SciPy versions they were recorded with.
+* the NumPy version they were recorded with (the package uses no other
+  numerical library, so importing this module loads no SciPy).
 
 ``tests/test_golden.py`` fails on any drift and names the moved keys.
 An intended output change is re-recorded from the root of a checkout::
@@ -32,7 +33,6 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 PATH = Path(__file__).resolve().with_name("golden.json")
@@ -114,7 +114,7 @@ def perfbench_digest(workload: str, seed: int) -> str:
 
 
 def versions() -> dict:
-    return {"numpy": np.__version__, "scipy": scipy.__version__}
+    return {"numpy": np.__version__}
 
 
 def load() -> dict:

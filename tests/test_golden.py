@@ -2,7 +2,7 @@
 against ``tests/golden.json``.
 
 Any drift fails, naming the moved keys and the recorded and installed
-NumPy and SciPy versions.  An intended output change is re-recorded with
+NumPy versions.  An intended output change is re-recorded with
 ``python tests/golden.py`` and declared in CHANGES.md.
 """
 
@@ -37,7 +37,7 @@ def test_records_perfbench_digests_for_ci():
 
 
 def test_drift_names_keys_and_versions():
-    recorded = {"versions": {"numpy": "0.0", "scipy": "0.0"},
+    recorded = {"versions": {"numpy": "0.0"},
                 "panels": {"fig02a": "a", "fig06a": "b"}}
     message = golden.drift_message(
         "panels", recorded, {"fig02a": "a", "fig06a": "c", "fig99": "d"})

@@ -5,13 +5,12 @@ has loaded cannot hide an import.
 
 * The packet-trace path (the Sec. I monitoring use case) needs only
   NumPy: importing it loads no SciPy and none of the science modules.
-* The SciPy-backed science modules load before a pool forks, so forked
-  workers inherit them instead of each importing them again: a campaign
-  cell and a ``run all`` figure import nothing the parent did not.
-* Of SciPy, the package loads ``scipy.special`` alone: its root finder
-  and minimiser are ports (:mod:`repro.utils.brent`) and fGn runs on
-  ``numpy.fft``, so no module loads SciPy's FFT, optimisation,
-  linear-algebra or sparse packages.
+* The science modules load before a pool forks, so forked workers
+  inherit them instead of each importing them again: a campaign cell and
+  a ``run all`` figure import nothing the parent did not.
+* The package loads no SciPy at all: its root finder and minimiser
+  (:mod:`repro.utils.brent`) and its normal CDF, log-gamma and digamma
+  (:mod:`repro.utils.special`) are ports, and fGn runs on ``numpy.fft``.
 """
 
 from __future__ import annotations
@@ -49,9 +48,6 @@ SCIENCE = (
     "repro.analysis",
 )
 
-#: SciPy packages that no module of the package may load.
-SCIPY_UNUSED = ("scipy.fft", "scipy.optimize", "scipy.linalg", "scipy.sparse")
-
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 
 
@@ -85,8 +81,9 @@ def test_trace_path_loads_no_scipy():
 
 def test_package_loads_no_scipy_solvers():
     """Every module of the package, then a call into each one that used
-    to reach SciPy's solvers, fGn, and ``hurst.wavelet``'s lazy
-    ``digamma``."""
+    to reach SciPy: its solvers, fGn, and the three special functions
+    (``ndtr`` through the copula, ``gammaln`` through Eq. 11, ``digamma``
+    through the wavelet logscale diagram)."""
     names, loaded = _run(
         "import importlib, json, pkgutil\n"
         "import numpy as np\n"
@@ -94,10 +91,12 @@ def test_package_loads_no_scipy_solvers():
         "names = [m.name for m in pkgutil.walk_packages(repro.__path__, 'repro.')]\n"
         "for name in names:\n"
         "    importlib.import_module(name)\n"
+        "from repro.analysis.theory import simple_random_sampled_acf\n"
         "from repro.core.parameters import epsilon_roots\n"
         "from repro.experiments import fig14, fig16\n"
         "from repro.hurst.wavelet import logscale_diagram\n"
         "from repro.hurst.whittle import fgn_whittle_hurst, local_whittle_hurst\n"
+        "from repro.traffic.copula import ParetoLRDModel\n"
         "from repro.traffic.fgn import fgn_davies_harte\n"
         "values = fgn_davies_harte(1024, 0.8, 1)\n"
         "epsilon_roots(10, 1.5, 0.148)\n"
@@ -106,13 +105,14 @@ def test_package_loads_no_scipy_solvers():
         "fgn_whittle_hurst(values)\n"
         "local_whittle_hurst(values)\n"
         "logscale_diagram(values)\n"
+        "ParetoLRDModel.from_mean(5.0, 1.5, 0.8).generate(1024, 1)\n"
+        "simple_random_sampled_acf([90, 512], 0.1, 0.5)\n"
         "print(json.dumps([names, sorted(sys.modules)]))\n",
     )
-    assert {"repro.utils.brent", "repro.hurst.wavelet",
+    assert {"repro.utils.brent", "repro.utils.special", "repro.hurst.wavelet",
             "repro.experiments.fig16", "repro.scenarios.campaign"} <= set(names)
     assert set(names) <= set(loaded)
-    assert "scipy.special" in loaded
-    assert [m for m in loaded if _is_or_under(m, SCIPY_UNUSED)] == []
+    assert [m for m in loaded if _is_or_under(m, ("scipy",))] == []
 
 
 @needs_fork
@@ -145,7 +145,7 @@ def test_campaign_cell_in_a_forked_worker_imports_nothing():
         "assert os.waitpid(pid, 0)[1] == 0, 'the forked child failed'\n"
         "print(out)\n",
     )
-    assert [m for m in new if _is_or_under(m, ("repro", "scipy"))] == []
+    assert [m for m in new if _is_or_under(m, ("repro", "numpy", "scipy"))] == []
 
 
 @needs_fork
@@ -178,4 +178,4 @@ def test_run_all_workers_import_only_their_figures():
         or m == "repro.experiments._bss_sweeps"
     ]
     assert [m for m in new if m.startswith("repro.")] == figure_modules
-    assert [m for m in new if _is_or_under(m, ("scipy",))] == []
+    assert [m for m in new if _is_or_under(m, ("numpy", "scipy"))] == []

@@ -26,6 +26,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from faultkit import KILL, KILL_EVERY_ATTEMPT, Fault, faulty
 
@@ -123,10 +124,31 @@ class TestRetryPolicy:
         ({"shard_deadline": -1.0}, "shard_deadline"),
         ({"backoff_base": -0.1}, "backoff_base"),
         ({"backoff_cap": -1.0}, "backoff_cap"),
+        ({"shard_deadline": True}, "shard_deadline"),
+        ({"backoff_base": True}, "backoff_base"),
+        ({"backoff_cap": True}, "backoff_cap"),
+        ({"max_attempts": True}, "max_attempts"),
+        ({"shard_deadline": "5"}, "shard_deadline"),
+        ({"backoff_base": "0.1"}, "backoff_base"),
+        ({"shard_deadline": float("nan")}, "shard_deadline"),
+        ({"shard_deadline": float("inf")}, "shard_deadline"),
+        ({"backoff_base": float("nan")}, "backoff_base"),
+        ({"backoff_cap": float("nan")}, "backoff_cap"),
+        ({"backoff_cap": float("inf")}, "backoff_cap"),
+        ({"max_attempts": 2.5}, "max_attempts"),
     ])
     def test_validation(self, kwargs, match):
         with pytest.raises(ParameterError, match=match):
             RetryPolicy(**kwargs)
+
+    def test_fields_are_stored_as_int_and_floats(self):
+        pol = RetryPolicy(max_attempts=np.int64(2), shard_deadline=5,
+                          backoff_base=0, backoff_cap=np.float32(0.5))
+        assert (pol.max_attempts, pol.shard_deadline, pol.backoff_base,
+                pol.backoff_cap) == (2, 5.0, 0.0, 0.5)
+        assert type(pol.max_attempts) is int
+        assert {type(pol.shard_deadline), type(pol.backoff_base),
+                type(pol.backoff_cap)} == {float}
 
     def test_resolve_passthrough_and_default(self):
         pol = RetryPolicy(max_attempts=2)

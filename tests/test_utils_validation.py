@@ -13,6 +13,7 @@ from repro.utils.validation import (
     require_hurst,
     require_in_range,
     require_int_at_least,
+    require_non_negative,
     require_positive,
     require_probability,
 )
@@ -42,6 +43,22 @@ class TestRequirePositive:
     def test_accepts_numpy_scalars(self):
         assert require_positive("x", np.float32(0.5)) == 0.5
         assert type(require_positive("x", np.int64(3))) is float
+
+
+class TestRequireNonNegative:
+    def test_accepts_zero_and_positive(self):
+        assert require_non_negative("x", 0) == 0.0
+        assert type(require_non_negative("x", np.int64(3))) is float
+
+    @pytest.mark.parametrize("bad", [-1e-300, -1, math.nan, math.inf])
+    def test_rejects(self, bad):
+        with pytest.raises(ParameterError, match="x must be a finite number >= 0"):
+            require_non_negative("x", bad)
+
+    @pytest.mark.parametrize("bad", [True, False, "3", None])
+    def test_rejects_bools_and_non_numbers(self, bad):
+        with pytest.raises(ParameterError, match="x must be a number"):
+            require_non_negative("x", bad)
 
 
 class TestRequireProbability:
