@@ -51,7 +51,7 @@ class Collector:
     """Thread-safe telemetry buffer: span tree, events, counters, gauges.
 
     Span parenting is tracked per thread (a ``threading.local`` stack),
-    so concurrent prefetch threads nest their spans correctly; the
+    so spans opened on concurrent threads nest correctly; the
     finished-record lists are guarded by one lock.
     """
 

@@ -12,9 +12,8 @@ figures are therefore the one grain of parallel work:
 2. :mod:`~repro.parallel.state` holds the mergeable partial states the
    streaming folds reduce into.
 3. :mod:`~repro.parallel.streaming` folds those states over
-   bounded-memory chunk streams (including chunked trace files), with a
-   reader thread prefetching the next chunk while the current one
-   reduces.
+   bounded-memory chunk streams (including chunked trace files), one
+   chunk at a time in the calling thread.
 
 ``workers=1`` and ``workers=N`` are bit-for-bit identical: every task
 draws its randomness from its own seed label, and results come back in
@@ -43,7 +42,6 @@ from repro.parallel.state import (
 )
 from repro.parallel.streaming import (
     chunked,
-    prefetch_chunks,
     streamed_moments,
     streamed_queue_tail_probabilities,
     streamed_tail_probabilities,
@@ -71,7 +69,6 @@ __all__ = [
     "TailHistogramState",
     # streaming
     "chunked",
-    "prefetch_chunks",
     "streamed_moments",
     "streamed_tail_probabilities",
     "streamed_queue_tail_probabilities",

@@ -13,21 +13,13 @@ inputs that never materialise as one array:
 * :func:`streamed_trace_size_moments` — packet-size moments straight from
   a ``.csv``/``.rpt`` file without reading it whole.
 
-Chunks arriving from a file are inherently sequential, so these folds are
-single-process.  What a sequential fold *can* overlap is ingest with
-reduction: :func:`prefetch_chunks` double-buffers any chunk stream by pulling chunk
-N+1 on a background reader thread while the caller reduces chunk N —
-file reads and the numpy reductions both release the GIL, so the two
-pipeline stages genuinely overlap.  The file-backed folds take a
-``pipelined`` flag that applies it; order, values, and exceptions are
-preserved exactly, so pipelining never changes a result.
+Chunks arriving from a file are inherently sequential, so these folds run
+in the calling thread, one chunk after another: their memory is bounded
+by the chunk size, not by the length of the input.
 """
 
 from __future__ import annotations
 
-import queue as queue_module
-import threading
-import time
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -37,79 +29,6 @@ from repro.parallel.state import MomentState, TailHistogramState
 from repro.queueing.simulation import queue_occupancy
 from repro.trace.io import DEFAULT_CHUNK_PACKETS, iter_trace_chunks
 from repro.utils.validation import require_int_at_least
-
-
-def prefetch_chunks(chunks: Iterable, *, depth: int = 2) -> Iterator:
-    """Yield ``chunks`` unchanged while reading ahead in the background.
-
-    Double-buffered ingest: a background reader pulls up to ``depth``
-    chunks ahead of the consumer through a bounded queue, so chunk N+1
-    is fetched (file read, parse, column copy) while chunk N reduces.
-    The stream's order and values are untouched and an exception raised
-    by the source re-raises at the consumer in its place, so wrapping a
-    fold in ``prefetch_chunks`` can never change its result — only its
-    wall-clock.  If the consumer stops early, the reader is told to stop
-    and the remaining chunks are never pulled.  The reader is a daemon
-    thread, and any iterable will do.
-    """
-    depth = require_int_at_least("depth", depth, 1)
-    return _thread_prefetch(chunks, depth)
-
-
-def _thread_prefetch(chunks: Iterable, depth: int) -> Iterator:
-    # One collector lookup per stream, not per chunk: the consumer loop
-    # is the ingest hot path and must stay a plain queue drain when off.
-    col = obs.current_collector()
-    if col is not None:
-        col.gauge_max("prefetch.depth", depth)
-    source = iter(chunks)
-    buffer: queue_module.Queue = queue_module.Queue(maxsize=depth)
-    stop = threading.Event()
-
-    def _put(item) -> bool:
-        # Bounded-blocking put that still honours a consumer bail-out.
-        while not stop.is_set():
-            try:
-                buffer.put(item, timeout=0.05)
-                return True
-            except queue_module.Full:
-                continue
-        return False
-
-    def _reader() -> None:
-        try:
-            for chunk in source:
-                if not _put(("chunk", chunk)):
-                    return
-            _put(("done", None))
-        except BaseException as exc:  # noqa: BLE001 — re-raised by consumer
-            _put(("error", exc))
-
-    thread = threading.Thread(
-        target=_reader, name="repro-chunk-prefetch", daemon=True
-    )
-    thread.start()
-    try:
-        while True:
-            if col is None:
-                kind, payload = buffer.get()
-            else:
-                waited = time.monotonic()
-                kind, payload = buffer.get()
-                waited = time.monotonic() - waited
-                if waited >= 1e-3:  # the consumer genuinely stalled
-                    col.count("prefetch.stalls")
-                    col.count("prefetch.stall_s", round(waited, 6))
-            if kind == "chunk":
-                if col is not None:
-                    col.count("prefetch.chunks")
-                yield payload
-            elif kind == "done":
-                return
-            else:
-                raise payload
-    finally:
-        stop.set()
 
 
 def chunked(values, chunk_size: int) -> Iterator[np.ndarray]:
@@ -148,7 +67,6 @@ def streamed_queue_tail_probabilities(
     thresholds,
     *,
     initial: float = 0.0,
-    pipelined: bool = False,
 ) -> np.ndarray:
     """Tail probabilities of the Lindley queue fed chunk by chunk.
 
@@ -158,15 +76,10 @@ def streamed_queue_tail_probabilities(
     space.  Within-chunk sums restart at the chunk boundary, so float
     workloads match the whole-series simulation to reduction-order
     precision (integer-valued arrivals and capacity match exactly).
-    ``pipelined=True`` double-buffers the ingest through
-    :func:`prefetch_chunks`: the next chunk is fetched while the current
-    one simulates, with identical results.
     """
     thresholds = np.asarray(thresholds, dtype=np.float64)
     state = TailHistogramState.empty(thresholds.size)
     backlog = float(initial)
-    if pipelined:
-        arrival_chunks = prefetch_chunks(arrival_chunks)
     for chunk in arrival_chunks:
         chunk = np.asarray(chunk, dtype=np.float64)
         if chunk.size == 0:
@@ -181,20 +94,10 @@ def streamed_trace_size_moments(
     path,
     *,
     chunk_size: int = DEFAULT_CHUNK_PACKETS,
-    pipelined: bool = True,
 ) -> MomentState:
-    """Packet-size moments of a trace file, read in bounded-memory chunks.
-
-    With ``pipelined`` (the default), the chunked file read is
-    double-buffered against the moment fold through
-    :func:`prefetch_chunks` — chunk N+1 is parsed while chunk N reduces,
-    with bit-identical results (the fold order never changes).
-    """
-    with obs.span("ingest.stream", path=str(path), pipelined=pipelined):
-        chunks: Iterable = (
+    """Packet-size moments of a trace file, read in bounded-memory chunks."""
+    with obs.span("ingest.stream", path=str(path)):
+        return streamed_moments(
             chunk.sizes.astype(np.float64)
             for chunk in iter_trace_chunks(path, chunk_size=chunk_size)
         )
-        if pipelined:
-            chunks = prefetch_chunks(chunks)
-        return streamed_moments(chunks)

@@ -79,7 +79,10 @@ class PacketTrace:
                     f"column {name!r} has {getattr(self, name).size} rows, "
                     f"expected {n}"
                 )
-        if n and np.any(np.diff(self.timestamps) < 0):
+        # Comparing neighbours takes one n-byte mask and no n-float
+        # difference, and flags the same pairs as a negative difference
+        # would (signed zeros, inf and NaN included).
+        if np.any(self.timestamps[1:] < self.timestamps[:-1]):
             raise TraceFormatError("timestamps must be non-decreasing")
 
     # ------------------------------------------------------------ basic info

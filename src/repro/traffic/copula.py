@@ -94,9 +94,7 @@ class ParetoLRDModel:
         """Synthesize ``n_ticks`` of Pareto-marginal LRD traffic."""
         n_ticks = require_int_at_least("n_ticks", n_ticks, 1)
         gen = normalize_rng(rng)
-        gaussian = fgn_davies_harte(n_ticks, self.hurst, gen)
-        uniforms = np.clip(ndtr(gaussian), 0.0, 1.0 - _UNIFORM_EPS)
-        return self.marginal.ppf(uniforms)
+        return self._marginal_of(ndtr(fgn_davies_harte(n_ticks, self.hurst, gen)))
 
     def transform(self, gaussian: np.ndarray) -> np.ndarray:
         """Apply the copula transform to an externally supplied Gaussian path.
@@ -105,6 +103,15 @@ class ParetoLRDModel:
         marginal map and so ablations can compare generators while holding
         the Gaussian path fixed.
         """
-        uniforms = np.clip(ndtr(np.asarray(gaussian, dtype=np.float64)),
-                           0.0, 1.0 - _UNIFORM_EPS)
+        return self._marginal_of(ndtr(np.asarray(gaussian, dtype=np.float64)))
+
+    def _marginal_of(self, uniforms) -> np.ndarray:
+        """Marginal quantiles of ``ndtr``'s fresh result, clipped in place.
+
+        ``uniforms`` is the caller's to give up: it is clipped in its own
+        memory and the quantiles take one more array, so at most two
+        n-float arrays are alive at once.
+        """
+        uniforms = np.asarray(uniforms)  # ndtr gives a NumPy float for 0-d
+        np.clip(uniforms, 0.0, 1.0 - _UNIFORM_EPS, out=uniforms)
         return self.marginal.ppf(uniforms)

@@ -71,7 +71,11 @@ class Pareto:
         q = np.asarray(q, dtype=np.float64)
         if np.any((q < 0) | (q >= 1)):
             raise ParameterError("quantiles must lie in [0, 1)")
-        return self.scale * (1.0 - q) ** (-1.0 / self.alpha)
+        # scale * (1 - q) ** (-1 / alpha), evaluated in one work array.
+        out = 1.0 - q
+        out **= -1.0 / self.alpha
+        out *= self.scale
+        return out
 
     # ---------------------------------------------------------------- moments
     @property
@@ -184,7 +188,13 @@ class TruncatedPareto:
         q = np.asarray(q, dtype=np.float64)
         if np.any((q < 0) | (q >= 1)):
             raise ParameterError("quantiles must lie in [0, 1)")
-        return self.scale * (1.0 - q * self._tail_mass) ** (-1.0 / self.alpha)
+        # scale * (1 - q * mass) ** (-1 / alpha), evaluated in one work
+        # array; q * -mass + 1 is the float 1 - q * mass.
+        out = q * -self._tail_mass
+        out += 1.0
+        out **= -1.0 / self.alpha
+        out *= self.scale
+        return out
 
     def mean_above(self, threshold: float) -> float:
         """E[X | X > threshold] under truncation (BSS theory cross-checks)."""

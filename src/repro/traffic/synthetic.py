@@ -103,13 +103,20 @@ def synthetic_packet_trace(
             f"n_hosts must be <= 2**32 (host ids are uint32), got {n_hosts}"
         )
     gen = normalize_rng(rng)
-    timestamps = np.cumsum(gen.exponential(1e-3, n))
-    sizes = np.minimum(40 + gen.pareto(alpha, n) * 100, 1500)
+    # Each column is built in the array its draw returned (the same
+    # operations in the same order, so the same bits), and the float sizes
+    # are dropped once cast: the capture is never held twice.
+    timestamps = gen.exponential(1e-3, n)
+    np.cumsum(timestamps, out=timestamps)
+    sizes = gen.pareto(alpha, n)
+    sizes *= 100
+    sizes += 40
+    sizes = np.minimum(sizes, 1500, out=sizes).astype(np.uint32)
     return PacketTrace(
         timestamps=timestamps,
         sources=gen.integers(0, n_hosts, n, dtype=np.uint32),
         destinations=gen.integers(0, n_hosts, n, dtype=np.uint32),
-        sizes=sizes.astype(np.uint32),
+        sizes=sizes,
     )
 
 

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError, TraceFormatError
 from repro.parallel.streaming import (
     chunked,
-    prefetch_chunks,
     streamed_moments,
     streamed_queue_tail_probabilities,
     streamed_tail_probabilities,
@@ -150,79 +151,27 @@ class TestStreamedTraceMoments:
         assert state.variance == pytest.approx(sizes.var(), rel=1e-12)
 
     @pytest.mark.parametrize("suffix", [".csv", ".rpt"])
-    def test_pipelined_bit_identical_to_sync(self, tmp_path, suffix):
+    def test_starts_no_thread(self, tmp_path, monkeypatch, suffix):
+        """The fold reads each chunk in the calling thread, and gives the
+        bits of the same fold over the in-memory sizes in the same chunks."""
         trace = _trace(997)
         path = tmp_path / f"trace{suffix}"
         write_trace(trace, path)
-        sync = streamed_trace_size_moments(path, chunk_size=64, pipelined=False)
-        piped = streamed_trace_size_moments(path, chunk_size=64, pipelined=True)
-        assert sync == piped  # dataclass equality: count, mean, m2
+
+        def refuse(thread):
+            raise AssertionError(f"started thread {thread.name!r}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        state = streamed_trace_size_moments(path, chunk_size=64)
+        assert state == streamed_moments(
+            chunked(trace.sizes.astype(np.float64), 64)
+        )
 
     def test_malformed_csv_error_names_file_and_line(self, tmp_path):
-        """A decode error on the reader thread re-raises at the consumer
-        with the reference ``path:line:`` message."""
+        """A decode error raises out of the fold with the reference
+        ``path:line:`` message."""
         path = tmp_path / "bad.csv"
         path.write_text("# repro-trace v1\n1.0,1,2,40,6\n2.0,zap,2,40,6\n")
         with pytest.raises(TraceFormatError, match=r"bad\.csv:3: "):
             streamed_trace_size_moments(path, chunk_size=1)
 
-
-class TestPrefetchChunks:
-    """Double-buffered ingest: same chunks, same order, same failures."""
-
-    def test_yields_same_chunks_in_order(self):
-        chunks = [np.arange(i, i + 3) for i in range(17)]
-        out = list(prefetch_chunks(iter(chunks), depth=2))
-        assert [id(c) for c in out] == [id(c) for c in chunks]
-
-    def test_empty_stream(self):
-        assert list(prefetch_chunks(iter([]))) == []
-
-    def test_depth_validated(self):
-        for bad in (0, 2.5, True):
-            with pytest.raises(ParameterError, match="depth"):
-                list(prefetch_chunks(iter([]), depth=bad))
-
-    def test_source_exception_reraised_in_place(self):
-        def source():
-            yield np.ones(4)
-            yield np.ones(4)
-            raise RuntimeError("ingest died")
-
-        received = []
-        with pytest.raises(RuntimeError, match="ingest died"):
-            for chunk in prefetch_chunks(source(), depth=1):
-                received.append(chunk)
-        assert len(received) == 2  # the prefix arrived intact first
-
-    def test_consumer_can_stop_early(self):
-        pulled = []
-
-        def source():
-            for i in range(1000):
-                pulled.append(i)
-                yield np.full(4, i)
-
-        gen = prefetch_chunks(source(), depth=1)
-        assert next(gen)[0] == 0
-        gen.close()
-        # The reader stops promptly: it never drains the whole source.
-        assert len(pulled) < 10
-
-    def test_pipelined_queue_fold_identical(self):
-        rng = np.random.default_rng(21)
-        arrivals = rng.poisson(8, size=5000).astype(np.float64)
-        thresholds = np.arange(0.0, 40.0, 1.0)
-        sync = streamed_queue_tail_probabilities(
-            chunked(arrivals, 311), 10.0, thresholds
-        )
-        piped = streamed_queue_tail_probabilities(
-            chunked(arrivals, 311), 10.0, thresholds, pipelined=True
-        )
-        np.testing.assert_array_equal(sync, piped)
-
-    def test_fold_over_prefetch_matches_plain(self):
-        x = np.random.default_rng(22).standard_normal(10_000)
-        plain = streamed_moments(chunked(x, 777))
-        piped = streamed_moments(prefetch_chunks(chunked(x, 777)))
-        assert plain == piped

@@ -1039,3 +1039,15 @@ class TestTraceIoParity:
         )
         assert data == expected
         assert read_binary(path) == packet_trace
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 15])
+    def test_binary_blocks_match_struct_loop(self, packet_trace, tmp_path, n):
+        """Blocks of 7 records: no block, a partial one, exactly one, one
+        plus a record, and two plus a record."""
+        trace = packet_trace.select(np.arange(len(packet_trace)) < n)
+        path = tmp_path / "t.rpt"
+        with mock.patch.object(trace_io, "_BINARY_CHUNK", 7):
+            write_binary(trace, path)
+        assert path.read_bytes() == (
+            b"RPTRACE1" + struct.pack("<Q", n) + _loop_binary_records(trace)
+        )

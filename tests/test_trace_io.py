@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from repro.trace.io import (
     write_trace,
 )
 from repro.trace.packet import PacketTrace
+from repro.traffic.synthetic import synthetic_packet_trace
 
 
 def sample_trace() -> PacketTrace:
@@ -100,6 +103,13 @@ class TestBinaryRoundTrip:
         write_binary(PacketTrace.empty(), path)
         assert len(read_binary(path)) == 0
 
+    def test_oversize_packet_rejected_before_writing(self, tmp_path):
+        path = tmp_path / "big.rpt"
+        trace = PacketTrace([0.0, 1.0], [1, 1], [2, 2], [40, 0x10000])
+        with pytest.raises(TraceFormatError, match="uint16"):
+            write_binary(trace, path)
+        assert not path.exists()
+
 
 class TestDispatch:
     def test_csv_extension(self, tmp_path):
@@ -117,6 +127,45 @@ class TestDispatch:
             write_trace(sample_trace(), tmp_path / "t.pcap")
         with pytest.raises(TraceFormatError, match="extension"):
             read_trace(tmp_path / "t.pcap")
+
+
+def traced_peak(call) -> int:
+    """Bytes ``call()`` allocates at its peak, as ``tracemalloc`` counts
+    them: the same on any machine."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
+class TestWritersHoldNoCopy:
+    """The writers never hold a second copy of the capture."""
+
+    @pytest.mark.parametrize("n", [1 << 15, 1 << 17])
+    def test_write_csv_is_flat_in_n(self, tmp_path, n):
+        """Blocks of ``_CSV_CHUNK`` rows: about 1.2 MiB at any length,
+        2^19 rows included (2^18-row blocks traced 4.7 MiB at 2^15 rows and
+        37.9 MiB at 2^19).  Tracing makes each row ~15x slower, so the
+        test stops at 2^17 rows."""
+        write_csv(synthetic_packet_trace(64, 1), tmp_path / "warm.csv")
+        trace = synthetic_packet_trace(n, 1)
+        peak = traced_peak(lambda: write_csv(trace, tmp_path / "trace.csv"))
+        assert peak <= 2 << 20
+
+    @pytest.mark.parametrize("n", [1 << 16, 1 << 19])
+    def test_write_binary_is_flat_in_n(self, tmp_path, n):
+        """One reused block of ``_BINARY_CHUNK`` packed records (19 bytes
+        each) goes to the file through a memoryview: 1.2 MiB at any length
+        (the whole-trace records and their ``tobytes`` copy traced 38
+        bytes a packet)."""
+        write_binary(synthetic_packet_trace(64, 2), tmp_path / "warm.rpt")
+        trace = synthetic_packet_trace(n, 2)
+        peak = traced_peak(lambda: write_binary(trace, tmp_path / "trace.rpt"))
+        assert peak <= 19 * (1 << 16) + 64 * 1024
 
 
 @given(

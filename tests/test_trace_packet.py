@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
 from repro.trace.packet import PacketRecord, PacketTrace
@@ -66,6 +70,54 @@ class TestPacketTraceBasics:
     def test_rejects_unsorted_timestamps(self):
         with pytest.raises(TraceFormatError, match="non-decreasing"):
             PacketTrace([1.0, 0.5], [1, 1], [2, 2], [40, 40])
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from(
+                    [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 5e-324]
+                ),
+                st.floats(),
+            ),
+            max_size=8,
+        ),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_ordering_check_matches_diff(self, values, ordered):
+        """``t[1:] < t[:-1]`` accepts and rejects exactly what the former
+        ``np.diff(t) < 0`` did: signed zeros, infinities, NaN and
+        subnormals included."""
+        if ordered:
+            values = sorted(values)
+        t = np.array(values, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            rejected = bool(np.any(np.diff(t) < 0))
+        ids = np.zeros(t.size, dtype=np.uint32)
+        if rejected:
+            with pytest.raises(TraceFormatError, match="non-decreasing"):
+                PacketTrace(t, ids, ids, ids)
+        else:
+            assert len(PacketTrace(t, ids, ids, ids)) == t.size
+
+    def test_construction_holds_one_mask(self):
+        """Built from columns of the right dtypes, a trace copies none of
+        them and checks its ordering with one n-byte mask (an n-float
+        ``np.diff`` traced 9 bytes a packet)."""
+        n = 1 << 18
+        timestamps = np.arange(n, dtype=np.float64)
+        ids = np.zeros(n, dtype=np.uint32)
+        protocols = np.full(n, 6, dtype=np.uint8)
+        PacketTrace(timestamps[:8], ids[:8], ids[:8], ids[:8], protocols[:8])
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            trace = PacketTrace(timestamps, ids, ids, ids, protocols)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= n + 64 * 1024
+        assert trace.timestamps is timestamps and trace.sizes is ids
 
     def test_rejects_ragged_columns(self):
         with pytest.raises(TraceFormatError, match="rows"):

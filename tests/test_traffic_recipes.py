@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import ParameterError
+from repro.trace.packet import PacketTrace
 from repro.trace.process import RateProcess
 from repro.traffic.belllabs import (
     BELL_LABS_MEAN_RATE,
@@ -56,6 +59,26 @@ class TestSyntheticPacketTrace:
             np.testing.assert_array_equal(
                 column, gen.integers(0, 256, n, dtype=np.uint32)
             )
+
+    def test_builds_its_columns_in_place(self):
+        """Besides its 21 bytes a packet of columns, a call traces one
+        byte a packet (the ordering mask): the draws are transformed in
+        place and the float sizes are dropped once cast (the former
+        expressions traced 17 bytes a packet more)."""
+        n = 1 << 18
+        synthetic_packet_trace(64, 1)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            trace = synthetic_packet_trace(n, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = sum(
+            getattr(trace, name).nbytes for name in PacketTrace.__slots__
+        )
+        assert columns == 21 * n
+        assert peak - before <= columns + n + 64 * 1024
 
     def test_integral_arguments_keep_bits(self):
         a = synthetic_packet_trace(1000, 3, alpha=2, n_hosts=16)
