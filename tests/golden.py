@@ -10,6 +10,9 @@
 * each perfbench workload's ``# digest`` at ``PERFBENCH_SEEDS``; each of
   CI's three perfbench smoke steps runs its workload at both seeds and
   compares both digests with these;
+* the SHA-256 of the CSV and ``.rpt`` files of ``trace-monitor``'s
+  capture pipeline at ``PERFBENCH_SEEDS`` (generate, write CSV, read it
+  back, write ``.rpt``), which pin both trace writers' bytes;
 * the NumPy version they were recorded with (the package uses no other
   numerical library, so importing this module loads no SciPy).
 
@@ -44,6 +47,8 @@ SEED = 77
 PERFBENCH_WORKLOADS = ("figures", "campaign", "trace-monitor")
 #: perfbench's default seed and its held-out seed.
 PERFBENCH_SEEDS = (20050608, 7211)
+#: Packets in ``trace-monitor``'s capture.
+CAPTURE_PACKETS = 1 << 19
 
 
 def _plain(obj):
@@ -113,6 +118,29 @@ def perfbench_digest(workload: str, seed: int) -> str:
                 if line.startswith(prefix))
 
 
+def capture_digests(directory) -> dict:
+    """SHA-256 of the capture files ``trace-monitor`` prepares, by seed.
+
+    The same steps as ``TraceMonitor.prepare``: a 2^19-packet capture is
+    written as CSV, read back (so timestamps carry 6 decimals) and
+    written as ``.rpt``.
+    """
+    from repro.trace.io import read_trace, write_trace
+    from repro.traffic.synthetic import synthetic_packet_trace
+
+    digests = {"csv": {}, "rpt": {}}
+    for seed in PERFBENCH_SEEDS:
+        trace = synthetic_packet_trace(CAPTURE_PACKETS, rng=seed, alpha=1.2)
+        for fmt in ("csv", "rpt"):
+            path = Path(directory) / f"capture-{seed}.{fmt}"
+            write_trace(trace, path)
+            digests[fmt][str(seed)] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+            if fmt == "csv":
+                trace = read_trace(path)
+    return digests
+
+
 def versions() -> dict:
     return {"numpy": np.__version__}
 
@@ -160,10 +188,13 @@ def collect() -> dict:
     """Recompute every digest the golden file holds."""
     with tempfile.TemporaryDirectory() as directory:
         campaign = smoke_campaign_digests(directory)
+    with tempfile.TemporaryDirectory() as directory:
+        captures = capture_digests(directory)
     return {
         "versions": versions(),
         "panels": panel_digests(run_panels()),
         "campaign": {"smoke": campaign},
+        "captures": captures,
         "perfbench": {
             workload: {str(seed): perfbench_digest(workload, seed)
                        for seed in PERFBENCH_SEEDS}

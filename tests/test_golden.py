@@ -1,5 +1,5 @@
-"""Absolute output pins: figure panels and the smoke campaign's store
-against ``tests/golden.json``.
+"""Absolute output pins: figure panels, the smoke campaign's store and
+the trace writers' capture files against ``tests/golden.json``.
 
 Any drift fails, naming the moved keys and the recorded and installed
 NumPy versions.  An intended output change is re-recorded with
@@ -25,6 +25,13 @@ def test_smoke_campaign(tmp_path):
     message = golden.drift_message(
         "campaign", recorded,
         {"smoke": golden.smoke_campaign_digests(tmp_path)})
+    assert not message, message
+
+
+def test_capture_files(tmp_path):
+    recorded = golden.load()
+    message = golden.drift_message(
+        "captures", recorded, golden.capture_digests(tmp_path))
     assert not message, message
 
 

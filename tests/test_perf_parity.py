@@ -974,6 +974,38 @@ def _loop_binary_records(trace: PacketTrace) -> bytes:
     )
 
 
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_CSV_BOUND_BITS = struct.unpack(
+    "<Q", struct.pack("<d", trace_io._FIXED_POINT_BOUND)
+)[0]
+_any_double = st.integers(0, 2**64 - 1).map(_double)
+#: Timestamps inside the NumPy formatter's domain and at its edge.
+_csv_inside = st.one_of(
+    st.floats(0, 1e4),
+    # Multiples of 2^-7 and 2^-8: odd multiples of 2^-7 are exact ties at
+    # the sixth decimal, which round to even.
+    st.integers(0, 2**39).map(lambda k: k / 128),
+    st.integers(0, 2**40).map(lambda k: k / 256),
+    # The doubles nearest (2k + 1) / 2e6: x * 1e6 often rounds onto the
+    # half-integer, and the exact residual decides.
+    st.integers(0, 2_251_799_813_685_247).map(lambda k: (2 * k + 1) / 2e6),
+    st.integers(-8, 8).map(lambda k: _double(_CSV_BOUND_BITS + k)),
+    _any_double,
+)
+#: Timestamps only ``%`` formats.
+_csv_outside = st.one_of(
+    st.sampled_from([-0.0, np.inf, -np.inf]),
+    st.floats(max_value=-0.0, allow_infinity=False),
+    # Past 2^53/10^6, fl(x * 1e6) is an even integer and rounds wrongly.
+    st.floats(trace_io._FIXED_POINT_BOUND, 1e11),
+    st.floats(min_value=trace_io._FIXED_POINT_BOUND, allow_infinity=False),
+    _any_double,
+)
+
+
 @pytest.fixture()
 def packet_trace():
     rng = np.random.default_rng(99)
@@ -1027,6 +1059,68 @@ class TestTraceIoParity:
             f"123456789.999999,{top},2,{top},17",
             f"1000000000000000.000000,{top},{top},{top},255",
         ]
+
+    def test_csv_numpy_and_percent_blocks_alternate(self, tmp_path):
+        """Blocks of 7 rows: NumPy formats the blocks inside its domain
+        and hands a block holding -0.0, NaN or inf back to ``%``."""
+        rng = np.random.default_rng(5)
+        timestamps = np.arange(35) / 128
+        timestamps[0] = -0.0
+        timestamps[16] = np.nan
+        timestamps[34] = np.inf
+        trace = PacketTrace(
+            timestamps,
+            rng.integers(0, 2**32, 35, dtype=np.uint64).astype(np.uint32),
+            rng.integers(0, 2**32, 35, dtype=np.uint64).astype(np.uint32),
+            rng.integers(0, 2**32, 35, dtype=np.uint64).astype(np.uint32),
+            rng.integers(0, 256, 35).astype(np.uint8),
+        )
+        fixed_point_rows = trace_io._fixed_point_rows
+        formatted = []
+
+        def spy(*columns):
+            block = fixed_point_rows(*columns)
+            formatted.append(block is not None)
+            return block
+
+        path = tmp_path / "t.csv"
+        with mock.patch.object(trace_io, "_CSV_CHUNK", 7), \
+                mock.patch.object(trace_io, "_fixed_point_rows", spy):
+            write_csv(trace, path)
+        assert formatted == [False, True, False, True, False]
+        assert path.read_text(encoding="utf-8") == _loop_csv_lines(trace)
+
+    @given(
+        inside=st.lists(_csv_inside, max_size=48),
+        outside=st.lists(_csv_outside, max_size=16),
+        nan_rows=st.lists(st.integers(0, 60), max_size=3),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_csv_bytes_match_loop_property(
+        self, tmp_path_factory, inside, outside, nan_rows, data
+    ):
+        """Any trace, in blocks of 7 rows so that NumPy and ``%`` blocks
+        alternate in one file: sorted timestamps from every double, exact
+        and inexact ties, the domain's edge, signed zeros and negatives,
+        NaN rows anywhere, and the integer columns over their full
+        ranges."""
+        timestamps = np.sort(np.array(inside + outside, dtype=np.float64))
+        for row in nan_rows:
+            timestamps = np.insert(timestamps, min(row, timestamps.size), np.nan)
+        n = timestamps.size
+        uint32 = st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)
+        trace = PacketTrace(
+            timestamps,
+            data.draw(uint32),
+            data.draw(uint32),
+            data.draw(uint32),
+            data.draw(st.lists(st.integers(0, 255), min_size=n, max_size=n)),
+        )
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        with mock.patch.object(trace_io, "_CSV_CHUNK", 7):
+            write_csv(trace, path)
+        assert path.read_text(encoding="utf-8") == _loop_csv_lines(trace)
 
     def test_binary_bytes_match_struct_loop(self, packet_trace, tmp_path):
         path = tmp_path / "t.rpt"
