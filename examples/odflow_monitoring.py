@@ -4,7 +4,8 @@
 OD flows" (Sec. I).  This example:
 
 1. synthesises a Bell-Labs-like packet trace (hundreds of OD pairs),
-2. writes/reads it through the binary trace format,
+2. round-trips it through the CSV trace format (6-decimal timestamps)
+   and then the binary one, and checks that both reads agree,
 3. builds the flow table and picks the two busiest OD pairs,
 4. bins their aggregate into f(t),
 5. monitors f(t) with streaming OnlineBSS versus plain systematic
@@ -32,12 +33,18 @@ def main() -> None:
     print(f"packet trace: {len(packets)} packets, "
           f"{packets.total_bytes / 1e6:.2f} MB over {packets.duration:.0f}s")
 
-    # Round-trip through the on-disk format, as a real pipeline would.
+    # Round-trip through both on-disk formats, as a real pipeline would:
+    # the CSV keeps timestamps to the microsecond, the binary file keeps
+    # what the CSV read gave exactly.
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "capture.rpt"
-        repro.write_trace(packets, path)
-        packets = repro.read_trace(path)
-    print(f"re-read from disk: {len(packets)} packets")
+        csv_path = Path(tmp) / "capture.csv"
+        rpt_path = Path(tmp) / "capture.rpt"
+        repro.write_trace(packets, csv_path)
+        packets = repro.read_trace(csv_path)
+        repro.write_trace(packets, rpt_path)
+        if repro.read_trace(rpt_path) != packets:
+            raise RuntimeError("the .csv and .rpt reads disagree")
+    print(f"re-read from disk: {len(packets)} packets (.csv, then .rpt)")
 
     flows = repro.FlowTable(packets)
     top = flows.top_flows(2)

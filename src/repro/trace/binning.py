@@ -16,17 +16,24 @@ import numpy as np
 from repro.errors import ParameterError
 from repro.trace.packet import PacketTrace
 from repro.trace.process import RateProcess
-from repro.utils.validation import require_positive
+from repro.utils.validation import (
+    require_finite,
+    require_int_at_least,
+    require_positive,
+)
 
 
 def _bin_edges(trace: PacketTrace, bin_width: float, t0, n_bins):
     if len(trace) == 0:
         raise ParameterError("cannot bin an empty trace")
-    start = float(trace.timestamps[0]) if t0 is None else float(t0)
+    if t0 is None:
+        start = float(trace.timestamps[0])
+    else:
+        start = require_finite("t0", t0)
     if n_bins is None:
         span = float(trace.timestamps[-1]) - start
-        n_bins = max(int(math.floor(span / bin_width)) + 1, 1)
-    return start, int(n_bins)
+        return start, max(int(math.floor(span / bin_width)) + 1, 1)
+    return start, require_int_at_least("n_bins", n_bins, 1)
 
 
 def bin_bytes(
@@ -99,9 +106,11 @@ class RateBinner:
     by: str = "bytes"
 
     def __post_init__(self):
+        object.__setattr__(self, "t0", require_finite("t0", self.t0))
         require_positive("bin_width", self.bin_width)
-        if self.n_bins < 1:
-            raise ParameterError(f"n_bins must be >= 1, got {self.n_bins}")
+        object.__setattr__(
+            self, "n_bins", require_int_at_least("n_bins", self.n_bins, 1)
+        )
         if self.by not in ("bytes", "packets"):
             raise ParameterError(
                 f"by must be 'bytes' or 'packets', got {self.by!r}"
@@ -122,11 +131,11 @@ class RateBinner:
             raise ParameterError("cannot fit a RateBinner to an empty trace")
         if n_bins is None:
             n_bins = min(max(len(trace) // 8, 16), 4096)
+        n_bins = require_int_at_least("n_bins", n_bins, 1)
         t0 = float(trace.timestamps[0])
         span = float(trace.timestamps[-1]) - t0
         bin_width = span / n_bins if span > 0 else 1.0
-        return cls(t0=t0, bin_width=float(bin_width), n_bins=int(n_bins),
-                   by=by)
+        return cls(t0=t0, bin_width=float(bin_width), n_bins=n_bins, by=by)
 
     def bin(self, trace: PacketTrace) -> RateProcess:
         """Project ``trace`` onto this grid as a rate series."""

@@ -9,15 +9,15 @@ Two interchangeable on-disk encodings for :class:`~repro.trace.packet.PacketTrac
 
 Both round-trip exactly (binary) or to 6-decimal timestamps (CSV).
 
-CSV decoding is block-vectorized: the reader pulls ~1 MiB of text at a
-time, splits record boundaries once, and hands the whole block to
-``np.loadtxt``'s C tokenizer — one vectorized conversion per column per
-block instead of a GIL-bound ``line.split(",")`` loop per packet.  The
-original line loop survives as :func:`_reference_iter_csv_rows`, still
-the validation oracle: any block the fast path cannot decode (comments,
-blank lines, malformed rows) is re-parsed by the reference loop so the
-accepted grammar and every ``TraceFormatError`` message/line number are
-exactly the loop's.
+CSV decoding is block-vectorized: the reader pulls 256 Ki characters of
+text at a time and splits record boundaries once.  A block whose rows
+are all in the one grammar :func:`write_csv` emits is decoded in NumPy
+by :func:`_fixed_point_columns`, to the bits ``float()`` and ``int()``
+give.  The original line loop survives as
+:func:`_reference_iter_csv_rows`, still the validation oracle: any other
+block (comments, blank lines, other number formats, malformed rows) is
+parsed by the reference loop, so the accepted grammar and every
+``TraceFormatError`` message/line number are exactly the loop's.
 
 CSV encoding is block-vectorized too: :func:`write_csv` formats each
 block of rows in NumPy, rounding every timestamp exactly as ``%.6f`` does
@@ -248,82 +248,166 @@ def _trace_from_rows(rows) -> PacketTrace:
     )
 
 
-#: Text pulled per read by the block decoder (~1 MiB): large enough that
-#: the per-block Python overhead amortises to nothing, small enough to
-#: keep memory bounded.  Tests shrink it to force boundary splits.
-_CSV_BLOCK_CHARS = 1 << 20
+#: Text pulled per read by the block decoder (256 Ki characters): large
+#: enough that the per-block Python overhead amortises to nothing, small
+#: enough that :func:`_fixed_point_columns`'s arrays stay in cache.
+#: Tests shrink it to force boundary splits.
+_CSV_BLOCK_CHARS = 1 << 18
 
-#: Column layout of a decoded CSV block.  ``size`` is ``u4`` (not the
-#: binary format's ``u2``): the CSV grammar accepts any value the
-#: reference loop's ``int(...)`` accepts into a uint32 column.
-_CSV_DTYPE = np.dtype(
-    [
-        ("timestamp", "<f8"),
-        ("src", "<u4"),
-        ("dst", "<u4"),
-        ("size", "<u4"),
-        ("proto", "u1"),
-    ]
+#: The dtypes of :class:`PacketTrace`'s columns, in its order, which
+#: every decoded CSV block has (``size`` is uint32, not the binary
+#: format's uint16).
+_COLUMN_DTYPES = (np.float64, np.uint32, np.uint32, np.uint32, np.uint8)
+
+#: The marks that end the six fields of a ``write_csv`` row, in order.
+_ROW_MARKS = np.frombuffer(b".,,,,\n", dtype=np.uint8)
+#: ``_DIGIT_MASKS[w]`` keeps the digit values (low nibbles) of the last
+#: ``w`` bytes of a little-endian 8-byte window, all eight from w = 8.
+_DIGIT_MASKS = np.array(
+    [0x0F0F0F0F0F0F0F0F << 8 * max(8 - w, 0) & 0xFFFFFFFFFFFFFFFF
+     for w in range(11)],
+    dtype=np.uint64,
 )
+
+
+def _fixed_point_columns(data: bytes):
+    """The columns of a block of complete rows in the grammar
+    :func:`write_csv` emits, decoded in NumPy, or ``None`` when any line
+    of the block lies outside it.
+
+    The grammar is ``W.FFFFFF,src,dst,size,proto`` and a newline: every
+    field has 1-10 ASCII digits, the fraction exactly six, src, dst and
+    size are at most 2^32 - 1, proto at most 255, and N = W·10^6 + F lies
+    below 2^53.  Each row decodes to the bits the reference loop's
+    ``float()`` and ``int()`` give it: N and 10^6 are exact doubles, so
+    ``N / 1e6`` is the double nearest N/10^6, the value ``float()``
+    rounds the text to (Clinger's fast path, PLDI 1990).  Anything else
+    (comments, blanks, signs, exponents, spaces, other decimal counts,
+    out-of-range values) returns ``None``, and the block goes to
+    :func:`_decode_csv_text` and the reference loop.
+
+    Every byte below ``"0"`` is a mark: each row's six must read
+    ``.,,,,\\n``, and every other byte must be a digit.  A field is the
+    unaligned little-endian 8-byte window that ends at its mark, masked
+    to the field's width and turned into an integer by three SWAR
+    multiply-shift steps (:func:`_swar_digits`); a 9- or 10-digit field
+    adds the window before that one times 10^8.  The checks that reject
+    most blocks outside the grammar come first, so such a block costs
+    little before the reference loop takes it.
+    """
+    b = np.frombuffer(data, dtype=np.uint8)
+    # Most blocks outside the grammar show it in their first row, which
+    # fits in 62 bytes: its marks alone cost little to check.
+    first = np.flatnonzero(b[:62] < ord("0"))[:6]
+    if first.size < 6 or first[1] - first[0] != 7:
+        return None
+    if not (b[first] == _ROW_MARKS).all():
+        return None
+    marks = np.flatnonzero(b < ord("0"))
+    n = marks.size // 6
+    if not n or marks.size != 6 * n or marks[-1] != b.size - 1:
+        return None
+    if b.max() > ord("9"):
+        return None
+    # The digits of each field: the gap before its mark.
+    widths = np.empty_like(marks)
+    widths[0] = marks[0]
+    np.subtract(marks[1:], marks[:-1], out=widths[1:])
+    widths[1:] -= 1
+    if not (widths[1::6] == 6).all() or widths.min() < 1 or widths.max() > 10:
+        return None
+    if not (b[marks].reshape(n, 6) == _ROW_MARKS).all():
+        return None
+    # Sixteen zero bytes ahead of the block keep every window inside the
+    # buffer, the second one of a 10-digit first field included.
+    padded = np.zeros(16 + b.size, dtype=np.uint8)
+    padded[16:] = b
+    windows = np.ndarray((padded.size - 7,), "<u8", padded, 0, (1,))
+    # In ``padded`` the window [mark - 8, mark) starts at mark + 8.  Fancy
+    # indexing reads the overlapping windows where they lie; ``take``
+    # would first copy them all, 8 bytes for each byte of the block.
+    starts = marks
+    starts += 8  # in place: the marks are not needed again
+    values = _swar_digits(windows[starts], widths)
+    long = np.flatnonzero(widths > 8)
+    if long.size:
+        values[long] += 10**8 * _swar_digits(
+            windows[starts[long] - 8], widths[long] - 8
+        )
+    fields = values.reshape(n, 6)
+    if fields[:, 2:5].max() > 0xFFFFFFFF or fields[:, 5].max() > 0xFF:
+        return None
+    micros = fields[:, 0] * 10**6
+    micros += fields[:, 1]
+    if micros.max() >= 1 << 53:
+        return None
+    timestamps = micros.astype(np.float64)
+    timestamps /= 1e6
+    return (
+        timestamps,
+        fields[:, 2].astype(np.uint32),
+        fields[:, 3].astype(np.uint32),
+        fields[:, 4].astype(np.uint32),
+        fields[:, 5].astype(np.uint8),
+    )
+
+
+def _swar_digits(windows, widths):
+    """The integer each little-endian 8-byte window spells in its last
+    ``widths`` bytes of ASCII digits (at most 8).
+
+    The window's first byte is its most significant digit.  After the
+    mask, three multiply-shift steps fold neighbouring digits into
+    pairs, the pairs into fours and the fours into the eight-digit
+    value, every lane in one uint64 at once; the multiplications wrap
+    modulo 2^64 only above the lanes they keep.
+    """
+    value = _DIGIT_MASKS.take(widths)
+    value &= windows
+    value *= 10 << 8 | 1
+    value >>= 8
+    value &= 0x00FF00FF00FF00FF
+    value *= 100 << 16 | 1
+    value >>= 16
+    value &= 0x0000FFFF0000FFFF
+    value *= 10_000 << 32 | 1
+    value >>= 32
+    return value
 
 
 def _columns_from_rows(rows):
     """Reference-path column conversion: python lists -> typed arrays.
 
     Conversion from *python* scalars keeps the reference loop's error
-    behaviour (an out-of-range uint32 raises ``OverflowError`` exactly
-    as building a :class:`PacketTrace` from row lists did).
+    behaviour.  A value its column's dtype cannot hold (an ``int``
+    outside uint32 or uint8) keeps the block's columns as object arrays,
+    so that the ``OverflowError`` comes when the chunk holding the value
+    is built (:func:`_take_chunk`): where the reference chunker raises
+    it, after every earlier chunk, and only if no malformed line comes
+    first.
     """
-    return (
-        np.asarray([r[0] for r in rows], dtype=np.float64),
-        np.asarray([r[1] for r in rows], dtype=np.uint32),
-        np.asarray([r[2] for r in rows], dtype=np.uint32),
-        np.asarray([r[3] for r in rows], dtype=np.uint32),
-        np.asarray([r[4] for r in rows], dtype=np.uint8),
-    )
+    try:
+        return tuple(
+            np.asarray([r[i] for r in rows], dtype=dtype)
+            for i, dtype in enumerate(_COLUMN_DTYPES)
+        )
+    except OverflowError:
+        return tuple(
+            np.array([r[i] for r in rows], dtype=object) for i in range(5)
+        )
 
 
 def _decode_csv_text(text: str, first_lineno: int, path):
-    """Decode a block of complete CSV lines into typed column arrays.
+    """Decode a block of complete CSV lines that
+    :func:`_fixed_point_columns` rejected (or a last line without its
+    newline) with the reference loop.
 
     Returns ``(columns, error)`` where ``columns`` is the 5-tuple of
     arrays for every row decoded before ``error`` (a deferred
-    :class:`TraceFormatError`, or ``None``).  The fast path hands the
-    whole block to ``np.loadtxt``'s C tokenizer; it only applies when
-    the block has no ``#`` (loadtxt would strip inline comments the
-    reference loop keeps) and loadtxt accepts every line — any
-    rejection falls back to :func:`_reference_iter_csv_rows`, which
-    reproduces the reference's row values, skipping rules, and error
-    text verbatim.  loadtxt's float/int conversions are correctly
-    rounded / exact, so accepted blocks decode bit-identically to the
-    reference loop.
+    :class:`TraceFormatError`, or ``None``).  The rows come from
+    :func:`_reference_iter_csv_rows`, so such a block has the
+    reference's values, skipping rules and error text by construction.
     """
-    if text.isspace():
-        # Blank lines only: the reference skips them all, where loadtxt
-        # would warn that the input contained no data.  (isspace stops at
-        # the first data character; strip would copy the whole block.)
-        return _columns_from_rows([]), None
-    if "#" not in text:
-        try:
-            records = np.loadtxt(
-                io_module.StringIO(text),
-                delimiter=",",
-                dtype=_CSV_DTYPE,
-                ndmin=1,
-            )
-        except ValueError:
-            pass  # comments, blanks, or malformed rows: reference decides
-        else:
-            # Field views, not copies: the values and dtypes are the
-            # columns' contract; chunk assembly concatenates (and thereby
-            # compacts) them anyway wherever a chunk spans pieces.
-            return (
-                records["timestamp"],
-                records["src"],
-                records["dst"],
-                records["size"],
-                records["proto"],
-            ), None
     rows = []
     error = None
     source = _reference_iter_csv_rows(
@@ -345,7 +429,11 @@ def _iter_csv_column_blocks(fh, path):
 
     Reads ``_CSV_BLOCK_CHARS`` of text at a time, splits records at the
     last newline (the partial trailing line carries into the next
-    block), and block-decodes the complete lines.  Rows decoded before
+    block), and block-decodes the complete lines: in NumPy by
+    :func:`_fixed_point_columns` when every line is in ``write_csv``'s
+    grammar (then one row per line), else by :func:`_decode_csv_text`.
+    The reader stays in text mode, so Python translates CRLF and CR
+    line ends before either decoder sees them.  Rows decoded before
     a malformed line are still yielded with the deferred error so the
     chunk assembler can emit every complete preceding chunk first —
     exactly when the per-row reference chunker would have surfaced it.
@@ -362,6 +450,12 @@ def _iter_csv_column_blocks(fh, path):
             carry = text
             continue
         block, carry = text[: cut + 1], text[cut + 1 :]
+        if block.isascii():
+            columns = _fixed_point_columns(block.encode("ascii"))
+            if columns is not None:
+                yield columns, None
+                lineno += columns[0].size
+                continue
         columns, error = _decode_csv_text(block, lineno, path)
         yield columns, error
         if error is not None:
@@ -372,7 +466,14 @@ def _iter_csv_column_blocks(fh, path):
 
 
 def _take_chunk(blocks: list, n: int) -> PacketTrace:
-    """Pop exactly ``n`` rows off the front of ``blocks`` as a trace."""
+    """Pop exactly ``n`` rows off the front of ``blocks`` as a trace.
+
+    Each piece is cast to its column's dtype, column by column in
+    :class:`PacketTrace`'s order, before the pieces are joined: a block
+    kept as object arrays (see :func:`_columns_from_rows`) then raises
+    the ``OverflowError`` that building the chunk from rows raises, and
+    never turns the whole chunk's columns into objects first.
+    """
     pieces = []
     need = n
     while need:
@@ -389,7 +490,9 @@ def _take_chunk(blocks: list, n: int) -> PacketTrace:
         columns = pieces[0]
     else:
         columns = tuple(
-            np.concatenate([piece[i] for piece in pieces]) for i in range(5)
+            np.concatenate([piece[i].astype(dtype, copy=False)
+                            for piece in pieces])
+            for i, dtype in enumerate(_COLUMN_DTYPES)
         )
     return PacketTrace(*columns)
 

@@ -25,6 +25,13 @@ def _is_finite(name: str, value) -> bool:
         raise ParameterError(f"{name} must be a number, got {value!r}") from None
 
 
+def require_finite(name: str, value: float) -> float:
+    """Return ``value`` as a float if it is a finite number, else raise."""
+    if not _is_finite(name, value):
+        raise ParameterError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def require_positive(name: str, value: float) -> float:
     """Return ``value`` if it is a finite number > 0, else raise."""
     if not _is_finite(name, value) or value <= 0:

@@ -31,3 +31,12 @@ def results():
     (``tests/test_golden.py``) read the same panels.
     """
     return golden.run_panels()
+
+
+@pytest.fixture(scope="session")
+def captures(tmp_path_factory):
+    """``trace-monitor``'s capture files at both perfbench seeds, built
+    once: ``{seed: {"csv": path, "rpt": path}}``."""
+    directory = tmp_path_factory.mktemp("captures")
+    return {seed: golden.write_capture(directory, seed)
+            for seed in golden.PERFBENCH_SEEDS}

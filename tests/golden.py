@@ -118,8 +118,8 @@ def perfbench_digest(workload: str, seed: int) -> str:
                 if line.startswith(prefix))
 
 
-def capture_digests(directory) -> dict:
-    """SHA-256 of the capture files ``trace-monitor`` prepares, by seed.
+def write_capture(directory, seed: int) -> dict:
+    """Write ``trace-monitor``'s capture at ``seed``; its paths by format.
 
     The same steps as ``TraceMonitor.prepare``: a 2^19-packet capture is
     written as CSV, read back (so timestamps carry 6 decimals) and
@@ -128,17 +128,28 @@ def capture_digests(directory) -> dict:
     from repro.trace.io import read_trace, write_trace
     from repro.traffic.synthetic import synthetic_packet_trace
 
-    digests = {"csv": {}, "rpt": {}}
-    for seed in PERFBENCH_SEEDS:
-        trace = synthetic_packet_trace(CAPTURE_PACKETS, rng=seed, alpha=1.2)
-        for fmt in ("csv", "rpt"):
-            path = Path(directory) / f"capture-{seed}.{fmt}"
-            write_trace(trace, path)
-            digests[fmt][str(seed)] = hashlib.sha256(
-                path.read_bytes()).hexdigest()
-            if fmt == "csv":
-                trace = read_trace(path)
-    return digests
+    trace = synthetic_packet_trace(CAPTURE_PACKETS, rng=seed, alpha=1.2)
+    paths = {fmt: Path(directory) / f"capture-{seed}.{fmt}"
+             for fmt in ("csv", "rpt")}
+    write_trace(trace, paths["csv"])
+    write_trace(read_trace(paths["csv"]), paths["rpt"])
+    return paths
+
+
+def file_digests(captures: dict) -> dict:
+    """SHA-256 of each capture file, by format and then by seed, for
+    ``{seed: write_capture(...)}``."""
+    return {
+        fmt: {str(seed): hashlib.sha256(paths[fmt].read_bytes()).hexdigest()
+              for seed, paths in captures.items()}
+        for fmt in ("csv", "rpt")
+    }
+
+
+def capture_digests(directory) -> dict:
+    """SHA-256 of the capture files ``trace-monitor`` prepares, by seed."""
+    return file_digests({seed: write_capture(directory, seed)
+                         for seed in PERFBENCH_SEEDS})
 
 
 def versions() -> dict:

@@ -28,10 +28,10 @@ def test_smoke_campaign(tmp_path):
     assert not message, message
 
 
-def test_capture_files(tmp_path):
+def test_capture_files(captures):
     recorded = golden.load()
     message = golden.drift_message(
-        "captures", recorded, golden.capture_digests(tmp_path))
+        "captures", recorded, golden.file_digests(captures))
     assert not message, message
 
 

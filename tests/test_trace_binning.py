@@ -181,6 +181,45 @@ class TestRateBinner:
         assert binner.bin_width == 1.0
         assert binner.bin(trace).values.sum() == 30
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: RateBinner(t0=0.0, bin_width=1.0, n_bins=2.5),
+            lambda: RateBinner(t0=0.0, bin_width=1.0, n_bins=True),
+            lambda: RateBinner(t0=0.0, bin_width=1.0, n_bins=float("nan")),
+            lambda: RateBinner(t0=float("nan"), bin_width=1.0, n_bins=4),
+            lambda: RateBinner(t0=float("inf"), bin_width=1.0, n_bins=4),
+            lambda: RateBinner.for_trace(sample_trace(), n_bins=2.5),
+            lambda: bin_bytes(sample_trace(), 0.01, n_bins=2.5),
+            lambda: bin_bytes(sample_trace(), 1.0, n_bins=True),
+            lambda: bin_packets(sample_trace(), 1.0, n_bins=True),
+            lambda: bin_bytes(sample_trace(), 1.0, n_bins=-3),
+            lambda: bin_packets(sample_trace(), 1.0, n_bins=-3),
+            lambda: bin_bytes(sample_trace(), 1.0, t0=float("nan")),
+            lambda: bin_packets(sample_trace(), 1.0, t0=float("-inf")),
+        ],
+        ids=[
+            "binner-n_bins-2.5", "binner-n_bins-True", "binner-n_bins-nan",
+            "binner-t0-nan", "binner-t0-inf", "for_trace-n_bins-2.5",
+            "bin_bytes-n_bins-2.5", "bin_bytes-n_bins-True",
+            "bin_packets-n_bins-True", "bin_bytes-n_bins-neg",
+            "bin_packets-n_bins-neg", "bin_bytes-t0-nan",
+            "bin_packets-t0-neg-inf",
+        ],
+    )
+    def test_bad_bin_count_or_origin_raises_parameter_error(self, make):
+        """A fractional, bool or NaN bin count and a non-finite origin
+        used to construct and then fail in NumPy, run with a truncated
+        count (2.5 as 2, ``True`` as 1), or bin from a NaN origin."""
+        with pytest.raises(ParameterError, match="n_bins|t0"):
+            make()
+
+    def test_integral_counts_are_kept_as_ints(self):
+        binner = RateBinner(t0=0, bin_width=1.0, n_bins=4.0)
+        assert type(binner.n_bins) is int and type(binner.t0) is float
+        assert type(RateBinner.for_trace(sample_trace(), n_bins=4.0).n_bins) is int
+        assert bin_bytes(sample_trace(), 1.0, n_bins=4.0).values.size == 4
+
     def test_invalid_grid_rejected(self):
         with pytest.raises(ParameterError):
             RateBinner(t0=0.0, bin_width=0.0, n_bins=4)

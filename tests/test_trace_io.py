@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TraceFormatError
+from repro.parallel.streaming import streamed_trace_size_moments
 from repro.trace.io import (
     read_binary,
     read_csv,
@@ -197,6 +198,54 @@ class TestReadBinaryHoldsOneCopy:
             match=f"expected {expected} bytes, found {len(data)}",
         ):
             read_binary(path)
+
+
+class TestStreamedCsvIsFlatInN:
+    @pytest.mark.parametrize("n", [1 << 17, 1 << 19])
+    def test_size_moments(self, tmp_path, n):
+        """Size moments streamed from a CSV in 2^16-packet chunks hold a
+        few text blocks of ``_CSV_BLOCK_CHARS``, the decoder's arrays
+        and the chunk being assembled: 6.5 MiB at 2^17 packets and 6.7
+        MiB at 2^19.  1 MiB blocks through ``np.loadtxt`` traced 10.0 and
+        12.6 MiB."""
+        write_csv(synthetic_packet_trace(64, 4), tmp_path / "warm.csv")
+        streamed_trace_size_moments(tmp_path / "warm.csv")
+        path = tmp_path / "trace.csv"
+        write_csv(synthetic_packet_trace(n, 4), path)
+        peak = traced_peak(lambda: streamed_trace_size_moments(path))
+        assert peak <= 8 << 20
+
+
+class TestCsvOverflowKeepsColumnsTyped:
+    def test_read_csv_holds_no_more_than_a_good_read(self, tmp_path):
+        """A 2^32 in the 11th of 2^19 rows: ``read_csv`` still reads
+        the whole file (a malformed line further on would take
+        precedence) and then raises the reference's ``OverflowError``.
+        Only the block holding the value is kept as Python objects, so
+        the read holds no more than a good read's two copies of the
+        columns (42 bytes a packet): 15.3 MiB.  Joining that block's
+        object columns with the rest turned every column of the file
+        into objects first, 52.4 MiB."""
+        n = 1 << 19
+        write_csv(synthetic_packet_trace(64, 4), tmp_path / "warm.csv")
+        read_csv(tmp_path / "warm.csv")
+        path = tmp_path / "trace.csv"
+        write_csv(synthetic_packet_trace(n, 4), path)
+        lines = path.read_bytes().split(b"\n")
+        fields = lines[11].split(b",")
+        fields[1] = b"4294967296"
+        lines[11] = b",".join(fields)
+        path.write_bytes(b"\n".join(lines))
+        del lines
+
+        def read():
+            with pytest.raises(
+                OverflowError,
+                match="^Python integer 4294967296 out of bounds for uint32$",
+            ):
+                read_csv(path)
+
+        assert traced_peak(read) <= 42 * n
 
 
 @given(

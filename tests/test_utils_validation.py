@@ -10,6 +10,7 @@ import pytest
 from repro.errors import ParameterError
 from repro.utils.validation import (
     require_alpha,
+    require_finite,
     require_hurst,
     require_in_range,
     require_int_at_least,
@@ -17,6 +18,22 @@ from repro.utils.validation import (
     require_positive,
     require_probability,
 )
+
+
+class TestRequireFinite:
+    def test_accepts_finite_numbers(self):
+        assert require_finite("x", -2.5) == -2.5
+        assert type(require_finite("x", np.int64(3))) is float
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ParameterError, match="x must be a finite number"):
+            require_finite("x", bad)
+
+    @pytest.mark.parametrize("bad", [True, "3", None])
+    def test_rejects_bools_and_non_numbers(self, bad):
+        with pytest.raises(ParameterError, match="x must be a number"):
+            require_finite("x", bad)
 
 
 class TestRequirePositive:
